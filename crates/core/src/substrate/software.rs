@@ -357,11 +357,11 @@ impl Substrate for SoftwareGibbs {
             "fabricated size"
         );
         let programmed = weights.to_owned() * self.variation.factors();
-        // Re-programming identical weights is the volatile-substrate
-        // norm (the serving layer re-programs every job): the physical
-        // words are paid either way (counted below), but the host-side
-        // derived caches — transpose and squared weights for the packed
-        // kernel — only rebuild when the realized array actually moved.
+        // Re-programming identical weights (a fallible serving replica
+        // is re-programmed every group) still pays the physical words
+        // (counted below), but the host-side derived caches — transpose
+        // and squared weights for the packed kernel — only rebuild when
+        // the realized array actually moved.
         if programmed != self.weights {
             self.weights_t = programmed.t().to_owned();
             if self.sq_weights.is_some() {

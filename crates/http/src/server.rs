@@ -54,7 +54,7 @@
 //! socket.
 
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -73,6 +73,12 @@ use crate::json::{
 };
 use crate::proto::{read_request_limited, ParseError, ReadOutcome, Request, Response, MAX_BODY};
 use crate::wire::{self, WIRE_MIME};
+
+/// Pause after a hard `accept` error before trying again.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(2);
+
+/// Bound on the loopback connect that wakes the accept loop at shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Request-knob headers understood on binary (and optionally JSON)
 /// sample requests.
@@ -262,7 +268,6 @@ impl Server {
         let workers = config.workers;
         assert!(workers >= 1, "need at least one connection worker");
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             service: RwLock::new(Some(service)),
@@ -311,10 +316,7 @@ impl Server {
     /// joins every thread.
     pub fn shutdown(mut self, deadline: Duration) -> ShutdownReport {
         let deadline_at = Instant::now() + deadline;
-        self.shared.closing.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        self.stop_accepting();
 
         // Wait for every accepted connection to be answered.
         let connections_drained = {
@@ -357,6 +359,27 @@ impl Server {
             service: service_report,
         }
     }
+
+    /// Sets `closing`, wakes the blocked accept loop with a loopback
+    /// self-connect (it re-checks `closing` on every accepted stream)
+    /// and joins it; the listener closes with the loop.
+    fn stop_accepting(&mut self) {
+        self.shared.closing.store(true, Ordering::SeqCst);
+        if let Some(accept) = self.accept.take() {
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            // If the connect fails the loop still wakes: a full backlog
+            // means `accept` has streams to return, and a hard accept
+            // error backs off and re-checks `closing`.
+            let _ = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT);
+            let _ = accept.join();
+        }
+    }
 }
 
 impl Drop for Server {
@@ -364,10 +387,7 @@ impl Drop for Server {
     /// connections and the service queue without a deadline. For a
     /// bounded stop use [`Server::shutdown`].
     fn drop(&mut self) {
-        self.shared.closing.store(true, Ordering::SeqCst);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        self.stop_accepting();
         {
             let mut in_flight = self.shared.in_flight.lock().expect("in-flight lock");
             while *in_flight > 0 {
@@ -381,22 +401,27 @@ impl Drop for Server {
     }
 }
 
-/// Polls the nonblocking listener until shutdown; every accepted stream
-/// is counted in-flight *before* entering the worker hand-off queue.
-/// Dropping `tx` on exit is what terminates the idle workers.
+/// Blocks in `accept` until shutdown; every accepted stream is counted
+/// in-flight *before* entering the worker hand-off queue. A stream
+/// accepted once `closing` is set (the shutdown wake-up, or a late
+/// client) is dropped unanswered and ends the loop. Dropping `tx` on
+/// exit is what terminates the idle workers.
 fn accept_loop(shared: &Shared, listener: &TcpListener, tx: &mpsc::Sender<TcpStream>) {
-    while !shared.closing.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.closing.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 *shared.in_flight.lock().expect("in-flight lock") += 1;
                 if tx.send(stream).is_err() {
                     return;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            // Hard errors (e.g. EMFILE) repeat immediately until
+            // resources free up; back off rather than spin.
+            Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
         }
     }
 }

@@ -5,6 +5,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -115,6 +116,45 @@ fn admin_snapshot_without_persistence_is_a_typed_503() {
         panic!("expected HTTP error");
     };
     assert_eq!(code, "no_persistence");
+}
+
+/// An idle server's accept loop is parked in a blocking `accept`; both
+/// stop paths must wake it promptly, on a loopback bind and on a
+/// wildcard bind (whose wake-up connect goes to loopback). Each stop
+/// runs on its own thread so a missed wake-up fails instead of hanging.
+#[test]
+fn idle_server_stops_within_a_second_on_shutdown_and_drop() {
+    fn timed_stop(bind: &str, stop: fn(Server)) -> Duration {
+        let server = Server::start(bind, SamplingService::builder().shards(1).build()).unwrap();
+        // Let the accept loop reach its blocking `accept`.
+        std::thread::sleep(Duration::from_millis(20));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || {
+            let started = Instant::now();
+            stop(server);
+            let _ = tx.send(());
+            started.elapsed()
+        });
+        if let Err(RecvTimeoutError::Timeout) = rx.recv_timeout(Duration::from_secs(5)) {
+            panic!("{bind}: the stop never returned");
+        }
+        stopper.join().expect("the stop itself panicked")
+    }
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let shutdown = timed_stop(bind, |server| {
+            let report = server.shutdown(Duration::from_secs(5));
+            assert!(report.connections_drained && report.service.drained);
+        });
+        assert!(
+            shutdown < Duration::from_secs(1),
+            "{bind}: shutdown took {shutdown:?}"
+        );
+        let dropped = timed_stop(bind, drop);
+        assert!(
+            dropped < Duration::from_secs(1),
+            "{bind}: drop took {dropped:?}"
+        );
+    }
 }
 
 /// A slowloris peer — connected, trickling nothing — is answered `408`

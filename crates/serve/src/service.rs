@@ -127,14 +127,18 @@ impl ServiceBuilder {
 
     /// Treats a replica's programmed weights as retained across jobs.
     ///
-    /// By default the service assumes **no retention**: analog coupling
-    /// weights live on leaky gate charges, so every job re-programs its
-    /// replica — the paper's §3.2 accounting, where each minibatch pays
-    /// the `m·n + m + n` programming words. Coalescing exists precisely
-    /// to amortize that per-job cost over many requests. Enabling
-    /// retention models an idealized substrate that re-programs only
-    /// when the registry version moved; the sampled bits are identical
-    /// either way (programming is deterministic).
+    /// This changes the **accounting model only**. By default analog
+    /// coupling weights live on leaky gate charges, so every coalesced
+    /// group pays the paper's §3.2 `m·n + m + n` programming words in
+    /// `host_words_transferred` — the per-job cost coalescing
+    /// amortizes. Enabling retention models an idealized substrate that
+    /// is charged only when the model snapshot changed.
+    ///
+    /// On an infallible replica the host work is the same either way:
+    /// it rebuilds its programmed image only when the snapshot changed.
+    /// A fallible one (`Substrate::is_fallible`) is re-programmed and
+    /// read back every group unless retention is on. The sampled bits
+    /// are identical either way (programming is deterministic).
     #[must_use]
     pub fn program_retention(mut self, retained: bool) -> Self {
         self.program_retention = retained;
@@ -314,11 +318,14 @@ pub struct DrainReport {
 ///   callers. Chains carry per-row RNG streams, so coalescing, sharding,
 ///   and scheduling are invisible in the sampled bits.
 /// * Programming is paid **per coalesced group**, not per request: the
-///   default volatile-weights model re-programs a replica for every job
-///   (the paper's per-minibatch `m·n + m + n` word accounting — what
-///   coalescing amortizes); [`ServiceBuilder::program_retention`]
-///   switches to an idealized retained-weights substrate that
-///   re-programs only when the registry version moves.
+///   default volatile-weights model charges every group the paper's
+///   per-minibatch `m·n + m + n` programming words (what coalescing
+///   amortizes); [`ServiceBuilder::program_retention`] switches to an
+///   idealized retained-weights substrate charged only when the
+///   snapshot changes. The host-side image is rebuilt only when the
+///   snapshot changes, since each replica remembers the `Arc<Rbm>` it
+///   was last programmed from; fallible substrates are re-programmed
+///   and read back every group so fault injection is unchanged.
 /// * [`TrainRequest`]s run CD-k on the shard's replica and publish the
 ///   update back to the registry as a new version.
 ///
@@ -1195,25 +1202,69 @@ enum Work {
     Exit,
 }
 
-/// One provisioned model replica on a shard. `programmed_version` only
-/// carries meaning when program retention is enabled; without it the
-/// replica's analog weights are treated as volatile and every job
-/// re-programs (`None` always forces reprogramming). `fallback` is the
-/// lazily fabricated `SoftwareGibbs` standing in after the model's
-/// circuit breaker trips.
+/// One provisioned model replica on a shard: the primary substrate and
+/// the lazily fabricated `SoftwareGibbs` fallback standing in after the
+/// model's circuit breaker trips.
 struct Replica {
-    substrate: Box<dyn ReplicableSubstrate>,
-    programmed_version: Option<u64>,
-    fallback: Option<Box<dyn ReplicableSubstrate>>,
+    primary: Programmed,
+    fallback: Option<Programmed>,
 }
 
 impl Replica {
     fn new(substrate: Box<dyn ReplicableSubstrate>) -> Self {
         Replica {
-            substrate,
-            programmed_version: None,
+            primary: Programmed::new(substrate),
             fallback: None,
         }
+    }
+}
+
+/// A substrate plus the snapshot parameters its host-side image was
+/// last programmed from (`None` forces the next group to program).
+/// Holding the `Arc` pins the allocation, so `Arc::ptr_eq` cannot alias
+/// a later snapshot — re-registration, `restore_chain` or a rollback —
+/// the way a bare version number can.
+struct Programmed {
+    substrate: Box<dyn ReplicableSubstrate>,
+    from: Option<Arc<Rbm>>,
+}
+
+impl Programmed {
+    fn new(substrate: Box<dyn ReplicableSubstrate>) -> Self {
+        Programmed {
+            substrate,
+            from: None,
+        }
+    }
+
+    /// §3.2 steps 1–2 for one group. The volatile-weights accounting
+    /// charges `programming_cost()` words on every group, but an
+    /// infallible substrate already holding `snapshot` would rebuild
+    /// the identical host-side image, so that work is skipped. A
+    /// fallible substrate is re-programmed and read back every group,
+    /// keeping its fault schedule. With `retained` weights an unchanged
+    /// snapshot is neither re-programmed nor charged.
+    fn program_for(
+        &mut self,
+        snapshot: &ModelSnapshot,
+        retained: bool,
+    ) -> Result<(), SubstrateFault> {
+        let current = self
+            .from
+            .as_ref()
+            .is_some_and(|rbm| Arc::ptr_eq(rbm, &snapshot.rbm));
+        if current && retained {
+            return Ok(());
+        }
+        if current && !self.substrate.is_fallible() {
+            let words = self.substrate.programming_cost();
+            self.substrate.counters_mut().host_words_transferred += words;
+            return Ok(());
+        }
+        self.from = None;
+        program_verified(&mut *self.substrate, snapshot)?;
+        self.from = Some(Arc::clone(&snapshot.rbm));
+        Ok(())
     }
 }
 
@@ -1573,53 +1624,44 @@ fn serve_sample_group(
 
     let (outcome, delta, retries) = if degraded {
         // Circuit broken: serve from the deterministic software
-        // fallback. Volatile-weights discipline still applies — program
-        // it for this group from the current snapshot.
+        // fallback. Volatile-weights accounting still applies — every
+        // group pays its programming words, whatever the retention.
         let fallback = replica
             .fallback
-            .get_or_insert_with(|| fabricate_fallback(&model, &snapshot));
-        fallback.program(
-            &snapshot.rbm.weights().view(),
-            &snapshot.rbm.visible_bias().view(),
-            &snapshot.rbm.hidden_bias().view(),
-        );
-        let before = *fallback.counters();
-        let samples = batch::sample_rows(&mut **fallback, &rows, gibbs_steps);
-        let delta = fallback.counters().delta_since(&before);
+            .get_or_insert_with(|| Programmed::new(fabricate_fallback(&model, &snapshot)));
+        let before = *fallback.substrate.counters();
+        fallback
+            .program_for(&snapshot, false)
+            .expect("the software fallback is infallible");
+        let samples = batch::sample_rows(&mut *fallback.substrate, &rows, gibbs_steps);
+        let delta = fallback.substrate.counters().delta_since(&before);
         (Ok(samples), delta, 0u32)
     } else {
-        let before = *replica.substrate.counters();
+        let primary = &mut replica.primary;
+        let before = *primary.substrate.counters();
         let mut retries = 0u32;
         let outcome = loop {
-            // §3.2 steps 1–2, once per coalesced group — through the
-            // fallible seam, with readback verification. After any
-            // fault the volatile couplings are assumed disturbed, so
-            // `programmed_version` is cleared and this re-runs.
-            let programmed = if replica.programmed_version == Some(snapshot.version) {
-                Ok(())
-            } else {
-                program_verified(&mut *replica.substrate, &snapshot).map(|()| {
-                    replica.programmed_version = core.program_retention.then_some(snapshot.version);
-                })
-            };
-            let fault = match programmed {
+            // §3.2 steps 1–2, once per coalesced group. After any fault
+            // the volatile couplings are assumed disturbed, so the
+            // programmed identity is cleared and this re-programs.
+            let fault = match primary.program_for(&snapshot, core.program_retention) {
                 Err(fault) => fault,
                 Ok(()) => {
-                    match batch::try_sample_rows(&mut *replica.substrate, &rows, gibbs_steps) {
+                    match batch::try_sample_rows(&mut *primary.substrate, &rows, gibbs_steps) {
                         Ok(samples) => break Ok(samples),
                         Err(fault) => fault,
                     }
                 }
             };
-            replica.programmed_version = None;
+            primary.from = None;
             if retries >= core.retry_policy.max_retries {
                 break Err(fault);
             }
             retries += 1;
-            replica.substrate.counters_mut().recovery_retries += 1;
+            primary.substrate.counters_mut().recovery_retries += 1;
             std::thread::sleep(core.retry_policy.backoff(retries, backoff_rng));
         };
-        let delta = replica.substrate.counters().delta_since(&before);
+        let delta = primary.substrate.counters().delta_since(&before);
 
         // Breaker bookkeeping: consecutive exhausted groups trip the
         // model into degraded (fallback) service; any primary success
@@ -1728,19 +1770,21 @@ fn serve_train(
 
     let mut rbm = (*snapshot.rbm).clone();
     let mut rng = StdRng::seed_from_u64(request.seed.unwrap_or_else(&mut *lane_seed));
-    let before = *replica.substrate.counters();
+    // Training programs the replica with every mid-training minibatch;
+    // force a reprogram from the registry before the next sample group,
+    // whether or not this update gets published.
+    let primary = &mut replica.primary;
+    primary.from = None;
+    let before = *primary.substrate.counters();
     let stats = request.trainer.train_with(
         &mut rbm,
         &request.data,
         request.batch_size,
-        &mut *replica.substrate,
+        &mut *primary.substrate,
         request.epochs,
         &mut rng,
     );
-    let delta = replica.substrate.counters().delta_since(&before);
-    // The replica now holds the last *mid-training* programming; force a
-    // reprogram from the published version before the next sample group.
-    replica.programmed_version = None;
+    let delta = primary.substrate.counters().delta_since(&before);
 
     // Compare-and-swap publish: if another shard published meanwhile
     // (concurrent training on the same model), fail with TrainConflict

@@ -1,13 +1,22 @@
 //! Service-level behavior: bounded-queue backpressure (reject, never
 //! deadlock), coalescing under load, training-through-the-service with
-//! version publication, and validation errors.
+//! version publication, validation errors, and per-group programming:
+//! §3.2 words charged every group, host work only when the snapshot
+//! changes, never a stale image.
 
-use ember_core::{GsConfig, SubstrateSpec};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+use ember_core::recovery::verify_programming;
+use ember_core::{GsConfig, RetryPolicy, SubstrateSpec};
 use ember_rbm::{CdTrainer, Rbm};
-use ember_serve::{SampleRequest, SamplingService, ServeError, TrainRequest};
-use ndarray::Array2;
+use ember_serve::{batch, ModelRegistry, SampleRequest, SamplingService, ServeError, TrainRequest};
+use ember_substrate::{
+    ChaosConfig, ChaosSubstrate, HardwareCounters, ReplicableSubstrate, Substrate,
+};
+use ndarray::{Array2, ArrayView1, ArrayView2};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn fixture(m: usize, n: usize) -> (Rbm, Box<dyn ember_substrate::ReplicableSubstrate>) {
     let mut rng = StdRng::seed_from_u64(4);
@@ -453,4 +462,376 @@ fn concurrent_flood_accounts_for_every_request_exactly() {
     assert_eq!(stats.rejected, rejected, "service and clients must agree");
     let served: u64 = stats.shards.iter().map(|s| s.sample_requests).sum();
     assert_eq!(served, accepted, "every accepted request must be served");
+}
+
+/// Decorates a substrate to count `program` calls — the host-side work
+/// a replica skips when its snapshot is unchanged — and, once armed, to
+/// run an action inside the next `program` (a training job's first
+/// minibatch). Clones share the count and the armed action.
+#[derive(Clone)]
+struct Probe {
+    inner: Box<dyn ReplicableSubstrate>,
+    programs: Arc<AtomicU64>,
+    armed: Arc<Mutex<Option<ArmedAction>>>,
+}
+
+type ArmedAction = Box<dyn FnOnce() + Send>;
+
+impl Probe {
+    fn new(inner: Box<dyn ReplicableSubstrate>) -> Self {
+        Probe {
+            inner,
+            programs: Arc::new(AtomicU64::new(0)),
+            armed: Arc::new(Mutex::new(None)),
+        }
+    }
+
+    fn programs(&self) -> u64 {
+        self.programs.load(Ordering::SeqCst)
+    }
+
+    fn arm(&self, action: impl FnOnce() + Send + 'static) {
+        *self.armed.lock().unwrap() = Some(Box::new(action));
+    }
+}
+
+impl Substrate for Probe {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn visible_len(&self) -> usize {
+        self.inner.visible_len()
+    }
+    fn hidden_len(&self) -> usize {
+        self.inner.hidden_len()
+    }
+    fn program(
+        &mut self,
+        weights: &ArrayView2<'_, f64>,
+        visible_bias: &ArrayView1<'_, f64>,
+        hidden_bias: &ArrayView1<'_, f64>,
+    ) {
+        self.programs.fetch_add(1, Ordering::SeqCst);
+        if let Some(action) = self.armed.lock().unwrap().take() {
+            action();
+        }
+        self.inner.program(weights, visible_bias, hidden_bias);
+    }
+    fn quantize_batch(&self, levels: &Array2<f64>) -> Array2<f64> {
+        self.inner.quantize_batch(levels)
+    }
+    fn sample_hidden_batch(&mut self, visible: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
+        self.inner.sample_hidden_batch(visible, rng)
+    }
+    fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
+        self.inner.sample_visible_batch(hidden, rng)
+    }
+    fn sample_hidden_batch_rows(
+        &mut self,
+        visible: &Array2<f64>,
+        rngs: &mut [&mut dyn RngCore],
+    ) -> Array2<f64> {
+        self.inner.sample_hidden_batch_rows(visible, rngs)
+    }
+    fn sample_visible_batch_rows(
+        &mut self,
+        hidden: &Array2<f64>,
+        rngs: &mut [&mut dyn RngCore],
+    ) -> Array2<f64> {
+        self.inner.sample_visible_batch_rows(hidden, rngs)
+    }
+    fn counters(&self) -> &HardwareCounters {
+        self.inner.counters()
+    }
+    fn counters_mut(&mut self) -> &mut HardwareCounters {
+        self.inner.counters_mut()
+    }
+}
+
+fn lone_request(i: u64) -> SampleRequest {
+    SampleRequest::new("m")
+        .with_samples(2)
+        .with_gibbs_steps(2)
+        .with_seed(500 + i)
+}
+
+fn program_from(substrate: &mut dyn ReplicableSubstrate, rbm: &Rbm) {
+    substrate.program(
+        &rbm.weights().view(),
+        &rbm.visible_bias().view(),
+        &rbm.hidden_bias().view(),
+    );
+}
+
+#[test]
+fn lone_requests_pay_section_3_2_words_but_program_the_host_once() {
+    const N: u64 = 6;
+    for spec in [
+        SubstrateSpec::software(GsConfig::default()),
+        SubstrateSpec::brim(ember_brim::BrimConfig::default()),
+        SubstrateSpec::annealer(),
+    ] {
+        let mut rng = StdRng::seed_from_u64(21);
+        let rbm = Rbm::random(10, 5, 0.4, &mut rng);
+        let proto = spec.fabricate_for(&rbm, &mut rng);
+
+        // Direct reference: the volatile-weights discipline spelled out,
+        // one `program` + `sample_rows` per group.
+        let mut direct = proto.clone_boxed();
+        let before = *direct.counters();
+        let mut expected = Vec::new();
+        for i in 0..N {
+            let request = lone_request(i);
+            program_from(&mut *direct, &rbm);
+            let rows = batch::expand_request(&request, request.seed.unwrap());
+            expected.push(batch::sample_rows(&mut *direct, &rows, request.gibbs_steps));
+        }
+        let direct_delta = direct.counters().delta_since(&before);
+
+        let probe = Probe::new(proto);
+        let service = SamplingService::builder().shards(1).build();
+        service
+            .register_model("m", rbm, Box::new(probe.clone()))
+            .unwrap();
+        for (i, expected) in (0..N).zip(&expected) {
+            let resp = service.sample(lone_request(i)).unwrap();
+            assert_eq!(resp.coalesced_rows, 2, "lone requests must not coalesce");
+            assert_eq!(
+                &resp.samples,
+                expected,
+                "{}: request {i} bits",
+                probe.name()
+            );
+        }
+        let served = service.stats().models["m"].counters;
+        assert_eq!(
+            served.host_words_transferred,
+            direct_delta.host_words_transferred,
+            "{}: every group still pays its programming words",
+            probe.name()
+        );
+        assert_eq!(served.phase_points, direct_delta.phase_points);
+        assert_eq!(
+            probe.programs(),
+            1,
+            "{}: one host programming",
+            probe.name()
+        );
+    }
+}
+
+#[test]
+fn fallible_replicas_are_programmed_every_group_with_an_unchanged_fault_schedule() {
+    const N: u64 = 24;
+    let mut rng = StdRng::seed_from_u64(22);
+    let rbm = Rbm::random(10, 5, 0.4, &mut rng);
+    let inner = SubstrateSpec::software(GsConfig::default()).fabricate_for(&rbm, &mut rng);
+
+    // Without faults: one `try_program` reaches the machine per group.
+    let probe = Probe::new(inner.clone_boxed());
+    let chaotic = ChaosSubstrate::new(Box::new(probe.clone()), ChaosConfig::new(3));
+    let service = SamplingService::builder().shards(1).build();
+    service
+        .register_model("m", rbm.clone(), Box::new(chaotic))
+        .unwrap();
+    for i in 0..N {
+        service.sample(lone_request(i)).unwrap();
+    }
+    assert_eq!(probe.programs(), N);
+
+    // Under faults (no retries, no breaker): every group's outcome and
+    // the accumulated counters match a direct replay of one verified
+    // `try_program` + `try_sample_rows` per group on a clone.
+    let proto = ChaosSubstrate::new(inner, ChaosConfig::new(4).with_fault_rate(0.1));
+    let mut direct = proto.clone();
+    let before = *direct.counters();
+    let service = SamplingService::builder()
+        .shards(1)
+        .retry_policy(RetryPolicy::none())
+        .breaker_threshold(u32::MAX)
+        .build();
+    service
+        .register_model("m", rbm.clone(), Box::new(proto))
+        .unwrap();
+    let mut faults = 0;
+    for i in 0..N {
+        let request = lone_request(i);
+        let rows = batch::expand_request(&request, request.seed.unwrap());
+        let expected = direct
+            .try_program(
+                &rbm.weights().view(),
+                &rbm.visible_bias().view(),
+                &rbm.hidden_bias().view(),
+            )
+            .and_then(|()| {
+                verify_programming(
+                    &direct,
+                    &rbm.weights().view(),
+                    &rbm.visible_bias().view(),
+                    &rbm.hidden_bias().view(),
+                )
+            })
+            .and_then(|()| batch::try_sample_rows(&mut direct, &rows, request.gibbs_steps));
+        match (service.sample(request), expected) {
+            (Ok(resp), Ok(expected)) => assert_eq!(resp.samples, expected, "request {i}"),
+            (Err(ServeError::SubstrateFault { fault, .. }), Err(expected)) => {
+                assert_eq!(fault, expected, "request {i}");
+                faults += 1;
+            }
+            (served, expected) => panic!("request {i}: served {served:?}, direct {expected:?}"),
+        }
+    }
+    assert!(faults > 0, "a 10% schedule must fault within {N} groups");
+    assert_eq!(
+        service.stats().models["m"].counters,
+        direct.counters().delta_since(&before)
+    );
+}
+
+#[test]
+fn retained_weights_are_reprogrammed_after_a_read_fault() {
+    // Retention skips programming an unchanged snapshot, but a fault may
+    // have disturbed the volatile couplings: every retry re-programs.
+    let (rbm, proto) = fixture(10, 5);
+    let probe = Probe::new(proto.clone_boxed());
+    let chaotic = ChaosSubstrate::new(
+        Box::new(probe.clone()),
+        ChaosConfig {
+            read_fault_rate: 0.2,
+            ..ChaosConfig::new(9)
+        },
+    );
+    let service = SamplingService::builder()
+        .shards(1)
+        .program_retention(true)
+        .retry_policy(RetryPolicy::default().with_max_retries(50).with_backoff(
+            std::time::Duration::from_micros(10),
+            1.0,
+            std::time::Duration::from_micros(10),
+        ))
+        .build();
+    service.register_model("m", rbm, Box::new(chaotic)).unwrap();
+    for i in 0..24 {
+        service.sample(lone_request(i)).unwrap();
+    }
+    let retries = service.stats().total_recovery_retries();
+    assert!(retries > 0, "a 20% read-fault schedule must retry");
+    assert_eq!(probe.programs(), 1 + retries);
+}
+
+/// Samples from `service` and checks the bits against a fresh replica of
+/// the probed machine programmed from the version the response reports
+/// (outside the probe's count); returns that version.
+fn assert_served_from_reported_version(service: &SamplingService, probe: &Probe, i: u64) -> u64 {
+    // Enough rows that a slightly moved image flips some bit.
+    let request = lone_request(i).with_samples(64);
+    let resp = service.sample(request.clone()).unwrap();
+    let rbm = service
+        .registry()
+        .get_version("m", resp.model_version)
+        .unwrap();
+    let mut fresh = probe.inner.clone_boxed();
+    program_from(&mut *fresh, &rbm);
+    let rows = batch::expand_request(&request, request.seed.unwrap());
+    let expected = batch::sample_rows(&mut *fresh, &rows, request.gibbs_steps);
+    assert_eq!(
+        resp.samples, expected,
+        "request {i} served stale programming for v{}",
+        resp.model_version
+    );
+    resp.model_version
+}
+
+/// Several large minibatch steps, so the replica's last mid-training
+/// image is far from both the base and the published parameters.
+fn train_request(data: Array2<f64>) -> TrainRequest {
+    TrainRequest::new("m", data)
+        .with_trainer(CdTrainer::new(1, 0.5))
+        .with_batch_size(4)
+}
+
+fn staleness_fixture() -> (Rbm, Probe, SamplingService, Array2<f64>) {
+    let (rbm, proto) = fixture(8, 4);
+    let probe = Probe::new(proto);
+    let service = SamplingService::builder().shards(1).build();
+    service
+        .register_model("m", rbm.clone(), Box::new(probe.clone()))
+        .unwrap();
+    let data = Array2::from_shape_fn((16, 8), |(i, j)| f64::from((i + j) % 3 == 0));
+    (rbm, probe, service, data)
+}
+
+#[test]
+fn sample_after_a_shard_train_is_programmed_from_the_reported_version() {
+    let (_, probe, service, data) = staleness_fixture();
+    assert_eq!(assert_served_from_reported_version(&service, &probe, 0), 1);
+    service.train(train_request(data.clone())).unwrap();
+    assert_eq!(assert_served_from_reported_version(&service, &probe, 1), 2);
+    // Train again, then roll back to the snapshot the replica held just
+    // before training: the snapshot is the same `Arc`, but the replica's
+    // image is the last mid-training minibatch.
+    service.train(train_request(data)).unwrap();
+    assert_eq!(service.rollback("m", 2).unwrap(), 4);
+    assert_eq!(assert_served_from_reported_version(&service, &probe, 2), 4);
+}
+
+#[test]
+fn sample_after_a_train_conflict_is_programmed_from_the_reported_version() {
+    let (_, probe, service, data) = staleness_fixture();
+    assert_eq!(assert_served_from_reported_version(&service, &probe, 0), 1);
+    // Inside the training job, republish the very snapshot the replica
+    // was programmed from: the publish conflicts, and the current
+    // snapshot is the replica's old `Arc` under a new version.
+    let registry = service.registry().clone();
+    probe.arm(move || {
+        registry.rollback("m", 1).unwrap();
+    });
+    assert!(matches!(
+        service.train(train_request(data)),
+        Err(ServeError::TrainConflict { .. })
+    ));
+    assert_eq!(assert_served_from_reported_version(&service, &probe, 1), 2);
+}
+
+#[test]
+fn sample_after_rollback_is_programmed_from_the_reported_version() {
+    let (rbm, probe, service, _) = staleness_fixture();
+    assert_eq!(assert_served_from_reported_version(&service, &probe, 0), 1);
+    let mut other = rbm;
+    other.weights_mut().mapv_inplace(|w| -w);
+    service.registry().publish("m", other).unwrap();
+    assert_eq!(assert_served_from_reported_version(&service, &probe, 1), 2);
+    assert_eq!(service.rollback("m", 1).unwrap(), 3);
+    assert_eq!(assert_served_from_reported_version(&service, &probe, 2), 3);
+    // Rolling back to the parameters already programmed skips the host
+    // work and still serves them.
+    let programs = probe.programs();
+    assert_eq!(service.rollback("m", 3).unwrap(), 4);
+    assert_eq!(assert_served_from_reported_version(&service, &probe, 3), 4);
+    assert_eq!(probe.programs(), programs);
+}
+
+#[test]
+fn sample_after_restore_chain_rewrites_the_current_version_is_programmed_from_it() {
+    let (rbm, probe, service, data) = staleness_fixture();
+    service.train(train_request(data)).unwrap();
+    assert_eq!(assert_served_from_reported_version(&service, &probe, 0), 2);
+
+    // A restored chain reuses version 2 for different parameters; the
+    // new service's replicas are clones of a machine programmed from
+    // the old version 2.
+    let mut rewritten = rbm.clone();
+    rewritten.weights_mut().mapv_inplace(|w| 0.5 * w);
+    let registry = ModelRegistry::new();
+    registry
+        .restore_chain("m", vec![(1, Arc::new(rbm)), (2, Arc::new(rewritten))])
+        .unwrap();
+    let mut programmed = probe.clone_boxed();
+    program_from(&mut *programmed, &service.registry().get("m").unwrap().rbm);
+    let restored = SamplingService::builder()
+        .shards(1)
+        .registry(registry)
+        .build();
+    restored.provision_model("m", programmed).unwrap();
+    assert_eq!(assert_served_from_reported_version(&restored, &probe, 1), 2);
 }
