@@ -1168,8 +1168,8 @@ fn sleep_until(target: Instant) {
 /// The PR 10 latency dimension: a seeded open-loop arrival process at
 /// ~60% of the measured closed-loop capacity against a 2-shard service
 /// with a 2 ms coalescing window, quantiles read from the service's own
-/// [`LatencyHistogram`] (queue-to-answer, as `GET /v1/stats` serves
-/// them).
+/// [`LatencyHistogram`](ember_serve::LatencyHistogram) (queue-to-answer,
+/// as `GET /v1/stats` serves them).
 ///
 /// **These rows are wall-clock, not CPU time** — latency under an
 /// arrival process *is* a wall phenomenon (queueing and the coalescing

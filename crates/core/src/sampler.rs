@@ -1,8 +1,42 @@
 use ndarray::{Array1, Array2, ArrayView1};
-use rand::Rng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 use ember_analog::{Comparator, NoiseModel, SigmoidUnit, ThermalRng};
+
+/// Which RNG stream feeds each row's comparator — the one choice that
+/// separates a trainer's half-step from a served one. Every backend
+/// takes it in exactly one place, its private half-step.
+pub(crate) enum RngDiscipline<'a, 'r> {
+    /// One stream shared by the whole batch (the trait's
+    /// `sample_*_batch` methods, which the trainers drive).
+    Shared(&'a mut dyn RngCore),
+    /// `rngs[i]` feeds row `i` and nothing else (the `*_batch_rows`
+    /// methods, which the serving layer coalesces over).
+    PerRow(&'a mut [&'r mut dyn RngCore]),
+}
+
+impl RngDiscipline<'_, '_> {
+    /// Whether every row draws from its own stream.
+    pub(crate) fn is_per_row(&self) -> bool {
+        matches!(self, RngDiscipline::PerRow(_))
+    }
+
+    /// Panics unless a per-row discipline carries one stream per row.
+    pub(crate) fn check_rows(&self, rows: usize) {
+        if let RngDiscipline::PerRow(rngs) = self {
+            assert_eq!(rows, rngs.len(), "one RNG stream per row");
+        }
+    }
+
+    /// The stream that feeds row `r`.
+    pub(crate) fn row(&mut self, r: usize) -> &mut dyn RngCore {
+        match self {
+            RngDiscipline::Shared(rng) => &mut **rng,
+            RngDiscipline::PerRow(rngs) => &mut *rngs[r],
+        }
+    }
+}
 
 /// The probabilistic node path of the augmented substrate (§3.2, Fig. 12):
 /// analog current summation through the coupling mesh → sigmoid unit →
@@ -168,142 +202,101 @@ impl AnalogSampler {
         })
     }
 
-    /// Whole-minibatch node path, forward direction: every row of
-    /// `inputs` (`batch × fan_in`) is one clamped configuration; the
-    /// analog vector-matrix products of the whole batch collapse into a
-    /// single GEMM (`inputs · W`), then the sigmoid/comparator path runs
-    /// element-wise in row-major order. Returns `batch × out` samples.
+    /// Whole-minibatch node path through the dense GEMM: every row of
+    /// `inputs` is one clamped configuration, the analog vector-matrix
+    /// products of the whole batch collapse into one GEMM (`inputs · W`
+    /// forward, `inputs · Wᵀ` when `rev` clamps the output layer and
+    /// samples the fan-in side), and the stochastic tail runs under
+    /// `rngs` (see [`AnalogSampler::latch`]).
     ///
-    /// Statistically identical to calling [`AnalogSampler::sample_layer`]
-    /// per row (same per-element noise model), but consumes the RNG in
-    /// row-major element order rather than row-call order.
+    /// The GEMM accumulates each output row independently of the
+    /// others, so under [`RngDiscipline::PerRow`] row `i`'s bits depend
+    /// only on (weights, bias, row `i`, its stream) — identical whether
+    /// the row is sampled alone or coalesced into any batch.
     ///
     /// # Panics
     ///
-    /// Panics on dimension mismatch.
-    pub fn sample_layer_batch<R: Rng + ?Sized>(
+    /// Panics on dimension mismatch, or if a per-row discipline does not
+    /// carry one stream per row.
+    pub(crate) fn sample_dense(
         &self,
         weights: &ndarray::ArrayView2<'_, f64>,
         bias: &ArrayView1<'_, f64>,
         inputs: &Array2<f64>,
-        rng: &mut R,
+        rev: bool,
+        rngs: RngDiscipline<'_, '_>,
     ) -> Array2<f64> {
-        assert_eq!(weights.nrows(), inputs.ncols(), "fan-in mismatch");
-        assert_eq!(weights.ncols(), bias.len(), "fan-out mismatch");
-        let mut fields = inputs.dot(weights);
-        self.finish_batch(&mut fields, bias, weights, inputs, false, rng);
+        let mut fields = if rev {
+            assert_eq!(weights.ncols(), inputs.ncols(), "fan-in mismatch (rev)");
+            assert_eq!(weights.nrows(), bias.len(), "fan-out mismatch (rev)");
+            inputs.dot(&weights.t())
+        } else {
+            assert_eq!(weights.nrows(), inputs.ncols(), "fan-in mismatch");
+            assert_eq!(weights.ncols(), bias.len(), "fan-out mismatch");
+            inputs.dot(weights)
+        };
+        let var = self.coupler_variance(weights, inputs, rev);
+        self.latch(&mut fields, bias, var.as_ref(), rngs);
         fields
     }
 
-    /// Whole-minibatch node path, reverse direction (output layer
-    /// clamped): `inputs` is `batch × out`, the GEMM is `inputs · Wᵀ`,
-    /// and the result is `batch × fan_in`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch.
-    pub fn sample_layer_rev_batch<R: Rng + ?Sized>(
+    /// Closed-form coupler-noise variance of a dense batch,
+    /// `Σᵢ (Wᵢⱼ uᵢ)²` per output cell, or `None` on a noiseless front
+    /// end.
+    fn coupler_variance(
         &self,
-        weights: &ndarray::ArrayView2<'_, f64>,
-        bias: &ArrayView1<'_, f64>,
-        inputs: &Array2<f64>,
-        rng: &mut R,
-    ) -> Array2<f64> {
-        assert_eq!(weights.ncols(), inputs.ncols(), "fan-in mismatch (rev)");
-        assert_eq!(weights.nrows(), bias.len(), "fan-out mismatch (rev)");
-        let mut fields = inputs.dot(&weights.t());
-        self.finish_batch(&mut fields, bias, weights, inputs, true, rng);
-        fields
-    }
-
-    /// Whole-minibatch node path, forward direction, with **one RNG
-    /// stream per row**: the analog vector-matrix products still collapse
-    /// into a single GEMM, but the sigmoid/comparator tail of row `i`
-    /// draws exclusively from `rngs[i]`.
-    ///
-    /// This is the serving-layer kernel: because the GEMM accumulates
-    /// each output row independently of the others and the stochastic
-    /// tail is per-row, row `i`'s bits depend only on (weights, bias,
-    /// row `i`, `rngs[i]`) — identical whether the row is sampled alone
-    /// or coalesced into any batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or if `rngs.len() != inputs.nrows()`.
-    pub fn sample_layer_batch_rows(
-        &self,
-        weights: &ndarray::ArrayView2<'_, f64>,
-        bias: &ArrayView1<'_, f64>,
-        inputs: &Array2<f64>,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) -> Array2<f64> {
-        assert_eq!(weights.nrows(), inputs.ncols(), "fan-in mismatch");
-        assert_eq!(weights.ncols(), bias.len(), "fan-out mismatch");
-        let mut fields = inputs.dot(weights);
-        self.finish_batch_rows(&mut fields, bias, weights, inputs, false, rngs);
-        fields
-    }
-
-    /// Reverse-direction counterpart of
-    /// [`AnalogSampler::sample_layer_batch_rows`] (output layer clamped,
-    /// fan-in side sampled), one RNG stream per row.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatch or if `rngs.len() != inputs.nrows()`.
-    pub fn sample_layer_rev_batch_rows(
-        &self,
-        weights: &ndarray::ArrayView2<'_, f64>,
-        bias: &ArrayView1<'_, f64>,
-        inputs: &Array2<f64>,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) -> Array2<f64> {
-        assert_eq!(weights.ncols(), inputs.ncols(), "fan-in mismatch (rev)");
-        assert_eq!(weights.nrows(), bias.len(), "fan-out mismatch (rev)");
-        let mut fields = inputs.dot(&weights.t());
-        self.finish_batch_rows(&mut fields, bias, weights, inputs, true, rngs);
-        fields
-    }
-
-    /// Per-row-stream tail of the batched node path: same arithmetic as
-    /// [`AnalogSampler::finish_batch`], but row `i` of the field matrix
-    /// consumes only `rngs[i]`.
-    fn finish_batch_rows(
-        &self,
-        fields: &mut Array2<f64>,
-        bias: &ArrayView1<'_, f64>,
         weights: &ndarray::ArrayView2<'_, f64>,
         inputs: &Array2<f64>,
         rev: bool,
-        rngs: &mut [&mut dyn rand::RngCore],
-    ) {
-        let var_coupler = if self.noise.noise_rms() > 0.0 {
-            let sq_in = inputs.mapv(|x| x * x);
-            let sq_w = weights.mapv(|w| w * w);
-            Some(if rev {
-                sq_in.dot(&sq_w.t())
-            } else {
-                sq_in.dot(&sq_w)
-            })
+    ) -> Option<Array2<f64>> {
+        if self.noise.noise_rms() <= 0.0 {
+            return None;
+        }
+        let sq_in = inputs.mapv(|x| x * x);
+        let sq_w = weights.mapv(|w| w * w);
+        Some(if rev {
+            sq_in.dot(&sq_w.t())
         } else {
-            None
-        };
-        self.latch_batch_rows(fields, bias, var_coupler.as_ref(), rngs);
+            sq_in.dot(&sq_w)
+        })
     }
 
-    /// Stochastic tail of the per-row-stream batched node path, over
-    /// precomputed fields: bias add, then for each row — coupler-noise
-    /// perturbation (when `var_coupler` is given) and the
-    /// sigmoid/comparator latch, drawing exclusively from that row's
-    /// stream. The packed-kernel substrates call this directly with
-    /// fields (and variances) produced by
-    /// [`crate::kernels::binary_gemm`].
-    pub(crate) fn latch_batch_rows(
+    /// Stochastic tail of the batched node path, over precomputed
+    /// fields: bias add, closed-form coupler-noise perturbation (when
+    /// `var_coupler` is given), sigmoid transfer, comparator latch. The
+    /// packed-kernel substrates call this directly with fields (and
+    /// variances) produced by [`crate::kernels::binary_gemm`].
+    ///
+    /// The two disciplines draw in different orders, and both orders
+    /// are pinned by golden fixtures: a shared stream is consumed
+    /// element-wise over the whole field matrix in row-major order (all
+    /// perturbations, then all comparators), while per-row streams run
+    /// each row's perturbations and comparators from that row's own
+    /// stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a per-row discipline does not carry one stream per row.
+    pub(crate) fn latch(
         &self,
         fields: &mut Array2<f64>,
         bias: &ArrayView1<'_, f64>,
         var_coupler: Option<&Array2<f64>>,
-        rngs: &mut [&mut dyn rand::RngCore],
+        rngs: RngDiscipline<'_, '_>,
+    ) {
+        match rngs {
+            RngDiscipline::Shared(rng) => self.latch_batch(fields, bias, var_coupler, rng),
+            RngDiscipline::PerRow(rngs) => self.latch_batch_rows(fields, bias, var_coupler, rngs),
+        }
+    }
+
+    /// [`AnalogSampler::latch`] under one stream per row.
+    fn latch_batch_rows(
+        &self,
+        fields: &mut Array2<f64>,
+        bias: &ArrayView1<'_, f64>,
+        var_coupler: Option<&Array2<f64>>,
+        rngs: &mut [&mut dyn RngCore],
     ) {
         assert_eq!(fields.nrows(), rngs.len(), "one RNG stream per row");
         for (i, mut row) in fields.axis_iter_mut(ndarray::Axis(0)).enumerate() {
@@ -339,7 +332,7 @@ impl AnalogSampler {
         field: &mut Array1<f64>,
         bias: &ArrayView1<'_, f64>,
         var: Option<&Array1<f64>>,
-        rng: &mut dyn rand::RngCore,
+        rng: &mut dyn RngCore,
     ) {
         for (f, &b) in field.iter_mut().zip(bias.iter()) {
             *f += b;
@@ -360,44 +353,13 @@ impl AnalogSampler {
         }
     }
 
-    /// Shared tail of the batched node path: computes the closed-form
-    /// coupler-noise variance from the raw operands, then runs
-    /// [`AnalogSampler::latch_batch`].
-    fn finish_batch<R: Rng + ?Sized>(
-        &self,
-        fields: &mut Array2<f64>,
-        bias: &ArrayView1<'_, f64>,
-        weights: &ndarray::ArrayView2<'_, f64>,
-        inputs: &Array2<f64>,
-        rev: bool,
-        rng: &mut R,
-    ) {
-        let var_coupler = if self.noise.noise_rms() > 0.0 {
-            let sq_in = inputs.mapv(|x| x * x);
-            let sq_w = weights.mapv(|w| w * w);
-            Some(if rev {
-                sq_in.dot(&sq_w.t())
-            } else {
-                sq_in.dot(&sq_w)
-            })
-        } else {
-            None
-        };
-        self.latch_batch(fields, bias, var_coupler.as_ref(), rng);
-    }
-
-    /// Stochastic tail of the batched node path, over precomputed
-    /// fields: bias add, closed-form coupler-noise perturbation (when
-    /// `var_coupler` is given), sigmoid transfer, comparator latch —
-    /// all element-wise over the field matrix in row-major order. The
-    /// packed-kernel substrates call this directly with fields (and
-    /// variances) produced by [`crate::kernels::binary_gemm`].
-    pub(crate) fn latch_batch<R: Rng + ?Sized>(
+    /// [`AnalogSampler::latch`] under one shared stream.
+    fn latch_batch(
         &self,
         fields: &mut Array2<f64>,
         bias: &ArrayView1<'_, f64>,
         var_coupler: Option<&Array2<f64>>,
-        rng: &mut R,
+        rng: &mut dyn RngCore,
     ) {
         for mut row in fields.axis_iter_mut(ndarray::Axis(0)) {
             row += bias;
@@ -593,11 +555,12 @@ mod tests {
                     .iter_mut()
                     .map(|r| r as &mut dyn rand::RngCore)
                     .collect();
+                let lanes = RngDiscipline::PerRow(&mut dyn_rngs);
                 if rev {
                     let b = arr1(&[0.0; 6]);
-                    sampler.sample_layer_rev_batch_rows(&w.view(), &b.view(), rows, &mut dyn_rngs)
+                    sampler.sample_dense(&w.view(), &b.view(), rows, true, lanes)
                 } else {
-                    sampler.sample_layer_batch_rows(&w.view(), &bias.view(), rows, &mut dyn_rngs)
+                    sampler.sample_dense(&w.view(), &bias.view(), rows, false, lanes)
                 }
             };
             let full = sample(&inputs, &[7, 8, 9]);

@@ -6,6 +6,7 @@ use ember_rbm::Rbm;
 use ember_substrate::{HardwareCounters, Substrate};
 
 use crate::kernels::{binary_gemm, BitMatrix};
+use crate::sampler::RngDiscipline;
 use crate::GsKernel;
 
 /// A Metropolis annealer driven as a conditional sampler over the
@@ -148,17 +149,42 @@ impl AnnealerSubstrate {
         (fields, false)
     }
 
-    /// Accounts one batched half-step's kernel choice (the Metropolis
-    /// sweep dots and both field kernels run their inner loops on the
-    /// runtime SIMD tier, so the tier counter is orthogonal to the
-    /// packed/dense split).
-    fn count_kernel(&mut self, packed: bool) {
+    /// One batched half-step: the conditional bit fields of the whole
+    /// batch in one product (`a = v · W + b_h` forward, `h · Wᵀ + b_v`
+    /// when `rev`), then clamped Metropolis sweeps per row, each fed by
+    /// that row's stream. Fields accumulate per row, so under one stream
+    /// per row a row's bits never depend on its batch-mates.
+    fn half_step(
+        &mut self,
+        clamped: &Array2<f64>,
+        rev: bool,
+        mut rngs: RngDiscipline<'_, '_>,
+    ) -> Array2<f64> {
+        let (width, free, side) = if rev {
+            (self.hidden_len(), self.visible_len(), "hidden")
+        } else {
+            (self.visible_len(), self.hidden_len(), "visible")
+        };
+        assert_eq!(clamped.ncols(), width, "{side} width mismatch");
+        rngs.check_rows(clamped.nrows());
+        let (fields, packed) = self.batch_fields(clamped, rev);
+        // The Metropolis sweep dots and both field kernels run their
+        // inner loops on the runtime SIMD tier, so the tier counter is
+        // orthogonal to the packed/dense split.
         self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
         if packed {
             self.counters.packed_kernel_calls += 1;
         } else {
             self.counters.dense_kernel_calls += 1;
         }
+        let mut out = Array2::zeros((clamped.nrows(), free));
+        for (r, field_row) in fields.rows().enumerate() {
+            out.row_mut(r)
+                .assign(&self.sample_free_side(&field_row, rngs.row(r)));
+        }
+        self.counters.phase_points += clamped.nrows() as u64 * self.sweeps_per_sample();
+        self.counters.host_words_transferred += (clamped.nrows() * free) as u64;
+        out
     }
 
     /// Draws one free-side configuration given per-unit conditional bit
@@ -215,62 +241,38 @@ impl Substrate for AnnealerSubstrate {
             self.problem.weights().dim(),
             "fabricated size"
         );
-        // Volatile re-programming of identical parameters (a fallible
-        // serving replica, re-programmed every group) pays the transfer
-        // words but skips the host-side rebuild of the problem and the
-        // cached transpose.
-        let unchanged = weights
-            .iter()
-            .zip(self.problem.weights().iter())
-            .all(|(a, b)| a == b)
-            && *visible_bias == *self.problem.visible_bias()
-            && *hidden_bias == *self.problem.hidden_bias();
-        if !unchanged {
-            self.problem = BipartiteProblem::new(
-                weights.to_owned(),
-                visible_bias.to_owned(),
-                hidden_bias.to_owned(),
-            )
-            .expect("consistent weight/bias dimensions");
-            self.weights_t = self.problem.weights().t().to_owned();
-        }
+        self.problem = BipartiteProblem::new(
+            weights.to_owned(),
+            visible_bias.to_owned(),
+            hidden_bias.to_owned(),
+        )
+        .expect("consistent weight/bias dimensions");
+        self.weights_t = self.problem.weights().t().to_owned();
         self.counters.host_words_transferred += self.programming_cost();
     }
 
     fn sample_hidden_batch(&mut self, visible: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        assert_eq!(
-            visible.ncols(),
-            self.visible_len(),
-            "visible width mismatch"
-        );
-        let n = self.hidden_len();
-        // Conditional bit fields for the whole batch in one product:
-        // a = v · W + b_h — bit-packed when the clamp is binary.
-        let (fields, packed) = self.batch_fields(visible, false);
-        self.count_kernel(packed);
-        let mut out = Array2::zeros((visible.nrows(), n));
-        for (r, field_row) in fields.rows().enumerate() {
-            out.row_mut(r)
-                .assign(&self.sample_free_side(&field_row, rng));
-        }
-        self.counters.phase_points += visible.nrows() as u64 * self.sweeps_per_sample();
-        self.counters.host_words_transferred += (visible.nrows() * n) as u64;
-        out
+        self.half_step(visible, false, RngDiscipline::Shared(rng))
     }
 
     fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        assert_eq!(hidden.ncols(), self.hidden_len(), "hidden width mismatch");
-        let m = self.visible_len();
-        let (fields, packed) = self.batch_fields(hidden, true);
-        self.count_kernel(packed);
-        let mut out = Array2::zeros((hidden.nrows(), m));
-        for (r, field_row) in fields.rows().enumerate() {
-            out.row_mut(r)
-                .assign(&self.sample_free_side(&field_row, rng));
-        }
-        self.counters.phase_points += hidden.nrows() as u64 * self.sweeps_per_sample();
-        self.counters.host_words_transferred += (hidden.nrows() * m) as u64;
-        out
+        self.half_step(hidden, true, RngDiscipline::Shared(rng))
+    }
+
+    fn sample_hidden_batch_rows(
+        &mut self,
+        visible: &Array2<f64>,
+        rngs: &mut [&mut dyn RngCore],
+    ) -> Array2<f64> {
+        self.half_step(visible, false, RngDiscipline::PerRow(rngs))
+    }
+
+    fn sample_visible_batch_rows(
+        &mut self,
+        hidden: &Array2<f64>,
+        rngs: &mut [&mut dyn RngCore],
+    ) -> Array2<f64> {
+        self.half_step(hidden, true, RngDiscipline::PerRow(rngs))
     }
 
     fn counters(&self) -> &HardwareCounters {
@@ -347,6 +349,50 @@ mod tests {
         assert_eq!(v_p, v_d);
         assert_eq!(c_p.packed_kernel_calls, 2);
         assert_eq!(c_d.dense_kernel_calls, 2);
+    }
+
+    #[test]
+    fn per_row_streams_match_row_at_a_time_sampling() {
+        // The batched per-row half-step computes every row's fields in
+        // one product; row `r` must still be exactly what a batch of one
+        // on `rngs[r]` draws, on either kernel and in either direction.
+        use rand::Rng as _;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(15);
+        let problem = BipartiteProblem::new(
+            Array2::from_shape_fn((7, 5), |_| rng.random_range(-1.0..1.0)),
+            ndarray::Array1::from_shape_fn(7, |_| rng.random_range(-0.5..0.5)),
+            ndarray::Array1::from_shape_fn(5, |_| rng.random_range(-0.5..0.5)),
+        )
+        .unwrap();
+        let v = Array2::from_shape_fn((6, 7), |_| f64::from(rng.random_bool(0.5)));
+        let h = Array2::from_shape_fn((6, 5), |_| f64::from(rng.random_bool(0.5)));
+        let streams = || -> Vec<rand::rngs::StdRng> {
+            (0..6)
+                .map(|r| rand::rngs::StdRng::seed_from_u64(500 + r))
+                .collect()
+        };
+        for kernel in [GsKernel::Packed, GsKernel::Dense] {
+            let mut sub = AnnealerSubstrate::new(problem.clone()).with_kernel(kernel);
+            for rev in [false, true] {
+                let clamp = if rev { &h } else { &v };
+                let mut rngs = streams();
+                let mut lanes: Vec<&mut dyn RngCore> =
+                    rngs.iter_mut().map(|r| r as &mut dyn RngCore).collect();
+                let batched = if rev {
+                    sub.sample_visible_batch_rows(clamp, &mut lanes)
+                } else {
+                    sub.sample_hidden_batch_rows(clamp, &mut lanes)
+                };
+                for (r, mut row_rng) in streams().into_iter().enumerate() {
+                    let alone = if rev {
+                        sub.sample_visible_row(&clamp.row(r), &mut row_rng)
+                    } else {
+                        sub.sample_hidden_row(&clamp.row(r), &mut row_rng)
+                    };
+                    assert_eq!(batched.row(r), alone, "{kernel:?} rev={rev} row {r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use ember_rbm::Rbm;
 use ember_substrate::{HardwareCounters, Substrate};
 
 use crate::kernels::BitMatrix;
+use crate::sampler::RngDiscipline;
 
 /// The bipartite BRIM of §3.1/Fig. 3 driven as a conditional sampler:
 /// clamp units hold one side at its data rails, the free side's coupled
@@ -19,9 +20,12 @@ use crate::kernels::BitMatrix;
 /// temperature of the bath; [`BrimSubstrate::with_thermal_bath`] exposes
 /// it together with the per-sample anneal length (phase points).
 ///
-/// Node voltages persist between calls, so consecutive samples continue
-/// one physical trajectory — exactly how the hardware behaves between
-/// `CLK` edges.
+/// Under one shared RNG stream (the trainers' `sample_*_batch`), node
+/// voltages persist between rows and calls, so consecutive samples
+/// continue one physical trajectory — exactly how the hardware behaves
+/// between `CLK` edges. Under one stream per row (the serving
+/// `*_batch_rows`), every row restarts from the power-on state instead,
+/// so its read-out never depends on the replica's previous tenant.
 ///
 /// # Example
 ///
@@ -95,6 +99,54 @@ impl BrimSubstrate {
     fn thermal_schedule(&self) -> FlipSchedule {
         FlipSchedule::constant(self.flip_probability, self.anneal_steps)
     }
+
+    /// The settle loop behind all four batch sampling methods: per row,
+    /// clamp one side (the hidden side when `rev`), anneal under the
+    /// thermal bath fed by that row's stream, and threshold the free
+    /// side straight into one packed row — no per-read `Vec<bool>`; the
+    /// dense `f64` matrix the Substrate API exchanges is materialized
+    /// once at the end.
+    fn half_step(
+        &mut self,
+        clamp: &Array2<f64>,
+        rev: bool,
+        mut rngs: RngDiscipline<'_, '_>,
+    ) -> Array2<f64> {
+        let (m, n) = (self.visible_len(), self.hidden_len());
+        let (width, free) = if rev { (n, m) } else { (m, n) };
+        let side = if rev { "hidden" } else { "visible" };
+        assert_eq!(clamp.ncols(), width, "{side} clamp width mismatch");
+        rngs.check_rows(clamp.nrows());
+        let schedule = self.thermal_schedule();
+        let mut out = BitMatrix::zeros(clamp.nrows(), free);
+        let mut levels = vec![0.0; width];
+        for (r, row) in clamp.rows().enumerate() {
+            for (level, &x) in levels.iter_mut().zip(row.iter()) {
+                *level = x;
+            }
+            if rngs.is_per_row() {
+                // Serving semantics: each row is its own trajectory from
+                // power-on, independent of the replica's previous tenant.
+                self.brim.reset_voltages();
+            }
+            if rev {
+                self.brim.clamp_hidden(&levels);
+            } else {
+                self.brim.clamp_visible(&levels);
+            }
+            self.brim.anneal(&schedule, rngs.row(r));
+            if rev {
+                self.brim.read_visible_packed(out.row_words_mut(r));
+            } else {
+                self.brim.read_hidden_packed(out.row_words_mut(r));
+            }
+        }
+        self.counters.packed_kernel_calls += 1;
+        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
+        self.counters.phase_points += (clamp.nrows() * self.anneal_steps) as u64;
+        self.counters.host_words_transferred += (clamp.nrows() * free) as u64;
+        out.to_dense()
+    }
 }
 
 impl Substrate for BrimSubstrate {
@@ -127,48 +179,11 @@ impl Substrate for BrimSubstrate {
     }
 
     fn sample_hidden_batch(&mut self, visible: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        let (m, n) = (self.visible_len(), self.hidden_len());
-        assert_eq!(visible.ncols(), m, "visible clamp width mismatch");
-        let schedule = self.thermal_schedule();
-        // Each settled read-out thresholds straight into one packed
-        // row — no per-read `Vec<bool>`; the dense `f64` matrix the
-        // Substrate API exchanges is materialized once at the end.
-        let mut out = BitMatrix::zeros(visible.nrows(), n);
-        let mut levels = vec![0.0; m];
-        for (r, row) in visible.rows().enumerate() {
-            for (level, &x) in levels.iter_mut().zip(row.iter()) {
-                *level = x;
-            }
-            self.brim.clamp_visible(&levels);
-            self.brim.anneal(&schedule, rng);
-            self.brim.read_hidden_packed(out.row_words_mut(r));
-        }
-        self.counters.packed_kernel_calls += 1;
-        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        self.counters.phase_points += (visible.nrows() * self.anneal_steps) as u64;
-        self.counters.host_words_transferred += (visible.nrows() * n) as u64;
-        out.to_dense()
+        self.half_step(visible, false, RngDiscipline::Shared(rng))
     }
 
     fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        let (m, n) = (self.visible_len(), self.hidden_len());
-        assert_eq!(hidden.ncols(), n, "hidden clamp width mismatch");
-        let schedule = self.thermal_schedule();
-        let mut out = BitMatrix::zeros(hidden.nrows(), m);
-        let mut levels = vec![0.0; n];
-        for (r, row) in hidden.rows().enumerate() {
-            for (level, &x) in levels.iter_mut().zip(row.iter()) {
-                *level = x;
-            }
-            self.brim.clamp_hidden(&levels);
-            self.brim.anneal(&schedule, rng);
-            self.brim.read_visible_packed(out.row_words_mut(r));
-        }
-        self.counters.packed_kernel_calls += 1;
-        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        self.counters.phase_points += (hidden.nrows() * self.anneal_steps) as u64;
-        self.counters.host_words_transferred += (hidden.nrows() * m) as u64;
-        out.to_dense()
+        self.half_step(hidden, true, RngDiscipline::Shared(rng))
     }
 
     fn sample_hidden_batch_rows(
@@ -176,31 +191,7 @@ impl Substrate for BrimSubstrate {
         visible: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Array2<f64> {
-        let (m, n) = (self.visible_len(), self.hidden_len());
-        assert_eq!(visible.ncols(), m, "visible clamp width mismatch");
-        assert_eq!(visible.nrows(), rngs.len(), "one RNG stream per row");
-        let schedule = self.thermal_schedule();
-        let mut out = BitMatrix::zeros(visible.nrows(), n);
-        let mut levels = vec![0.0; m];
-        for (r, row) in visible.rows().enumerate() {
-            for (level, &x) in levels.iter_mut().zip(row.iter()) {
-                *level = x;
-            }
-            // Serving semantics: every row is an independent trajectory
-            // from the machine's power-on state, so its read-out depends
-            // only on (programmed model, clamp, own stream) — never on
-            // the previous tenant of this replica. The plain batch
-            // methods above keep the §3 continuous physical trajectory.
-            self.brim.reset_voltages();
-            self.brim.clamp_visible(&levels);
-            self.brim.anneal(&schedule, &mut *rngs[r]);
-            self.brim.read_hidden_packed(out.row_words_mut(r));
-        }
-        self.counters.packed_kernel_calls += 1;
-        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        self.counters.phase_points += (visible.nrows() * self.anneal_steps) as u64;
-        self.counters.host_words_transferred += (visible.nrows() * n) as u64;
-        out.to_dense()
+        self.half_step(visible, false, RngDiscipline::PerRow(rngs))
     }
 
     fn sample_visible_batch_rows(
@@ -208,26 +199,7 @@ impl Substrate for BrimSubstrate {
         hidden: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Array2<f64> {
-        let (m, n) = (self.visible_len(), self.hidden_len());
-        assert_eq!(hidden.ncols(), n, "hidden clamp width mismatch");
-        assert_eq!(hidden.nrows(), rngs.len(), "one RNG stream per row");
-        let schedule = self.thermal_schedule();
-        let mut out = BitMatrix::zeros(hidden.nrows(), m);
-        let mut levels = vec![0.0; n];
-        for (r, row) in hidden.rows().enumerate() {
-            for (level, &x) in levels.iter_mut().zip(row.iter()) {
-                *level = x;
-            }
-            self.brim.reset_voltages();
-            self.brim.clamp_hidden(&levels);
-            self.brim.anneal(&schedule, &mut *rngs[r]);
-            self.brim.read_visible_packed(out.row_words_mut(r));
-        }
-        self.counters.packed_kernel_calls += 1;
-        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        self.counters.phase_points += (hidden.nrows() * self.anneal_steps) as u64;
-        self.counters.host_words_transferred += (hidden.nrows() * m) as u64;
-        out.to_dense()
+        self.half_step(hidden, true, RngDiscipline::PerRow(rngs))
     }
 
     fn counters(&self) -> &HardwareCounters {

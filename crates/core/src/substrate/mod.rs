@@ -28,9 +28,14 @@
 //! |---|---|---|---|---|
 //! | 1–2. program couplings/biases (`m·n + m + n` words) | `program` | applies frozen coupler variation | spin-domain embedding via `BipartiteBrim::reprogram` | rebuilds the bipartite coupling |
 //! | 3. clamp data through DTCs | `quantize_batch` | `Dtc::convert` per element | identity (clamp units drive rails directly) | identity |
-//! | 4–5. settle the free side, read it out | `sample_hidden_batch` / `sample_visible_batch` | GEMM + sigmoid + comparator | clamp → anneal under flip injection → threshold | clamped-side conditional fields → Metropolis sweeps |
+//! | 4–5. settle the free side, read it out | `sample_*_batch` (shared stream) / `sample_*_batch_rows` (stream per row) | GEMM + sigmoid + comparator | clamp → anneal under flip injection → threshold (per-row streams restart from power-on) | clamped-side conditional fields → Metropolis sweeps |
 //! | 6. alternate sides for k-step Gibbs | callers alternate the two methods | — | — | — |
 //! | 7–8. host accumulates and updates | host-side | counters track settle phase points + words | phase points = integration steps | phase points = Metropolis sweeps |
+//!
+//! Each backend implements the settle-and-read step once, as a private
+//! half-step taking the direction and the RNG discipline (one shared
+//! stream, or one stream per row); the four batch trait methods are
+//! one-line calls into it.
 //!
 //! All backends are driven identically — see
 //! `examples/substrate_sampling.rs` for the three of them sampling the

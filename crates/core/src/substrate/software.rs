@@ -5,6 +5,7 @@ use ember_analog::{Dtc, VariationMap};
 use ember_substrate::{HardwareCounters, Substrate};
 
 use crate::kernels::{binary_gemm, BitMatrix};
+use crate::sampler::RngDiscipline;
 use crate::{AnalogSampler, GsConfig, GsKernel};
 
 /// The software-modelled analog substrate of §3.2 (Fig. 12): the
@@ -19,14 +20,16 @@ use crate::{AnalogSampler, GsConfig, GsKernel};
 /// GEMM (same index-order accumulation; zero terms are floating-point
 /// no-ops), so the samples never depend on the kernel choice.
 /// Non-binary batches (multi-bit DTC gray data) and the
-/// [`GsKernel::Dense`] baseline run the dense
-/// [`AnalogSampler::sample_layer_batch`] path; the row methods use the
-/// scalar reference kernels ([`AnalogSampler::sample_layer_reference`]),
-/// preserving the `GsEngine::SerialReference` baseline. The serving
-/// kernels (`sample_hidden_batch_rows` / `sample_visible_batch_rows`)
-/// share the same kernel selection but drive each row's stochastic tail
-/// from its own RNG stream, so a row's bits are invariant to request
-/// coalescing. [`HardwareCounters::packed_kernel_calls`] /
+/// [`GsKernel::Dense`] baseline run the analog sampler's dense GEMM
+/// path; the row methods use the SIMD selected-row kernel or the scalar
+/// reference ([`AnalogSampler::sample_layer_reference`]), preserving the
+/// `GsEngine::SerialReference` baseline. All four batch methods run one
+/// half-step: the serving kernels (`sample_hidden_batch_rows` /
+/// `sample_visible_batch_rows`) share the kernel selection of the
+/// trainers' `sample_*_batch` and differ only in the RNG discipline —
+/// each row's stochastic tail draws from its own stream, so a row's
+/// bits are invariant to request coalescing.
+/// [`HardwareCounters::packed_kernel_calls`] /
 /// [`HardwareCounters::dense_kernel_calls`] record which kernel served
 /// each sampling call.
 ///
@@ -165,15 +168,16 @@ impl SoftwareGibbs {
         Some((fields, var))
     }
 
-    /// Shared kernel dispatch of the whole-batch sampling entry points:
+    /// The batched half-step behind all four batch sampling methods:
     /// the packed product when selected and packable, the dense
-    /// [`AnalogSampler`] path otherwise — counted either way. `rev`
-    /// flips the direction (hidden side clamped, visible side sampled).
-    fn sample_batch(
+    /// [`AnalogSampler`] path otherwise — counted either way — with the
+    /// stochastic tail under `rngs`. `rev` flips the direction (hidden
+    /// side clamped, visible side sampled).
+    fn half_step(
         &mut self,
         inputs: &Array2<f64>,
         rev: bool,
-        rng: &mut dyn RngCore,
+        rngs: RngDiscipline<'_, '_>,
     ) -> Array2<f64> {
         // Kernel-tier accounting: both the packed selected-row kernel
         // and the dense GEMM run their inner loops on the runtime
@@ -181,38 +185,33 @@ impl SoftwareGibbs {
         // packed/dense split (simd == packed + dense on a vector tier,
         // 0 under `EMBER_FORCE_SCALAR`).
         self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        match self.packed_fields(inputs, rev) {
+        let bias = if rev {
+            &self.visible_bias
+        } else {
+            &self.hidden_bias
+        };
+        let out = match self.packed_fields(inputs, rev) {
             Some((mut fields, var)) => {
                 self.counters.packed_kernel_calls += 1;
-                let bias = if rev {
-                    &self.visible_bias
-                } else {
-                    &self.hidden_bias
-                };
                 self.sampler
-                    .latch_batch(&mut fields, &bias.view(), var.as_ref(), rng);
+                    .latch(&mut fields, &bias.view(), var.as_ref(), rngs);
                 fields
             }
             None => {
                 self.counters.dense_kernel_calls += 1;
-                let bias = if rev {
-                    &self.visible_bias
-                } else {
-                    &self.hidden_bias
-                };
-                if rev {
-                    self.sampler.sample_layer_rev_batch(
-                        &self.weights.view(),
-                        &bias.view(),
-                        inputs,
-                        rng,
-                    )
-                } else {
-                    self.sampler
-                        .sample_layer_batch(&self.weights.view(), &bias.view(), inputs, rng)
-                }
+                self.sampler
+                    .sample_dense(&self.weights.view(), &bias.view(), inputs, rev, rngs)
             }
-        }
+        };
+        self.count_settle(inputs.nrows(), out.len());
+        out
+    }
+
+    /// Accounts `rows` settles of the free side and their read-out
+    /// words — the one counter update every sampling method shares.
+    fn count_settle(&mut self, rows: usize, read_out: usize) {
+        self.counters.phase_points += rows as u64 * self.settle_phase_points;
+        self.counters.host_words_transferred += read_out as u64;
     }
 
     /// The serial per-chain field product (and, under a noisy front
@@ -264,7 +263,7 @@ impl SoftwareGibbs {
         } else {
             &self.hidden_bias
         };
-        match self.packed_row_fields(input, rev) {
+        let out = match self.packed_row_fields(input, rev) {
             Some((mut field, var)) => {
                 self.counters.packed_kernel_calls += 1;
                 self.sampler
@@ -281,54 +280,9 @@ impl SoftwareGibbs {
                     rng,
                 )
             }
-        }
-    }
-
-    /// Per-row-stream counterpart of [`SoftwareGibbs::sample_batch`]
-    /// (row `i`'s stochastic tail draws exclusively from `rngs[i]`).
-    fn sample_batch_rows(
-        &mut self,
-        inputs: &Array2<f64>,
-        rev: bool,
-        rngs: &mut [&mut dyn RngCore],
-    ) -> Array2<f64> {
-        self.counters.simd_kernel_calls += u64::from(ndarray::simd::simd_active());
-        match self.packed_fields(inputs, rev) {
-            Some((mut fields, var)) => {
-                self.counters.packed_kernel_calls += 1;
-                let bias = if rev {
-                    &self.visible_bias
-                } else {
-                    &self.hidden_bias
-                };
-                self.sampler
-                    .latch_batch_rows(&mut fields, &bias.view(), var.as_ref(), rngs);
-                fields
-            }
-            None => {
-                self.counters.dense_kernel_calls += 1;
-                let bias = if rev {
-                    &self.visible_bias
-                } else {
-                    &self.hidden_bias
-                };
-                if rev {
-                    self.sampler.sample_layer_rev_batch_rows(
-                        &self.weights.view(),
-                        &bias.view(),
-                        inputs,
-                        rngs,
-                    )
-                } else {
-                    self.sampler.sample_layer_batch_rows(
-                        &self.weights.view(),
-                        &bias.view(),
-                        inputs,
-                        rngs,
-                    )
-                }
-            }
-        }
+        };
+        self.count_settle(1, out.len());
+        out
     }
 }
 
@@ -356,19 +310,11 @@ impl Substrate for SoftwareGibbs {
             self.variation.factors().dim(),
             "fabricated size"
         );
-        let programmed = weights.to_owned() * self.variation.factors();
-        // Re-programming identical weights (a fallible serving replica
-        // is re-programmed every group) still pays the physical words
-        // (counted below), but the host-side derived caches — transpose
-        // and squared weights for the packed kernel — only rebuild when
-        // the realized array actually moved.
-        if programmed != self.weights {
-            self.weights_t = programmed.t().to_owned();
-            if self.sq_weights.is_some() {
-                self.sq_weights = Some(programmed.mapv(|w| w * w));
-                self.sq_weights_t = Some(self.weights_t.mapv(|w| w * w));
-            }
-            self.weights = programmed;
+        self.weights = weights.to_owned() * self.variation.factors();
+        self.weights_t = self.weights.t().to_owned();
+        if self.sq_weights.is_some() {
+            self.sq_weights = Some(self.weights.mapv(|w| w * w));
+            self.sq_weights_t = Some(self.weights_t.mapv(|w| w * w));
         }
         self.visible_bias = visible_bias.to_owned();
         self.hidden_bias = hidden_bias.to_owned();
@@ -380,17 +326,11 @@ impl Substrate for SoftwareGibbs {
     }
 
     fn sample_hidden_batch(&mut self, visible: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        let h = self.sample_batch(visible, false, rng);
-        self.counters.phase_points += visible.nrows() as u64 * self.settle_phase_points;
-        self.counters.host_words_transferred += h.len() as u64;
-        h
+        self.half_step(visible, false, RngDiscipline::Shared(rng))
     }
 
     fn sample_visible_batch(&mut self, hidden: &Array2<f64>, rng: &mut dyn RngCore) -> Array2<f64> {
-        let v = self.sample_batch(hidden, true, rng);
-        self.counters.phase_points += hidden.nrows() as u64 * self.settle_phase_points;
-        self.counters.host_words_transferred += v.len() as u64;
-        v
+        self.half_step(hidden, true, RngDiscipline::Shared(rng))
     }
 
     fn sample_hidden_batch_rows(
@@ -398,10 +338,7 @@ impl Substrate for SoftwareGibbs {
         visible: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Array2<f64> {
-        let h = self.sample_batch_rows(visible, false, rngs);
-        self.counters.phase_points += visible.nrows() as u64 * self.settle_phase_points;
-        self.counters.host_words_transferred += h.len() as u64;
-        h
+        self.half_step(visible, false, RngDiscipline::PerRow(rngs))
     }
 
     fn sample_visible_batch_rows(
@@ -409,10 +346,7 @@ impl Substrate for SoftwareGibbs {
         hidden: &Array2<f64>,
         rngs: &mut [&mut dyn RngCore],
     ) -> Array2<f64> {
-        let v = self.sample_batch_rows(hidden, true, rngs);
-        self.counters.phase_points += hidden.nrows() as u64 * self.settle_phase_points;
-        self.counters.host_words_transferred += v.len() as u64;
-        v
+        self.half_step(hidden, true, RngDiscipline::PerRow(rngs))
     }
 
     fn sample_hidden_row(
@@ -421,10 +355,7 @@ impl Substrate for SoftwareGibbs {
         rng: &mut dyn RngCore,
     ) -> Array1<f64> {
         let clamped = visible.mapv(|x| self.dtc.convert(x));
-        let h = self.sample_row(&clamped.view(), false, rng);
-        self.counters.phase_points += self.settle_phase_points;
-        self.counters.host_words_transferred += h.len() as u64;
-        h
+        self.sample_row(&clamped.view(), false, rng)
     }
 
     fn sample_visible_row(
@@ -432,10 +363,7 @@ impl Substrate for SoftwareGibbs {
         hidden: &ArrayView1<'_, f64>,
         rng: &mut dyn RngCore,
     ) -> Array1<f64> {
-        let v = self.sample_row(hidden, true, rng);
-        self.counters.phase_points += self.settle_phase_points;
-        self.counters.host_words_transferred += v.len() as u64;
-        v
+        self.sample_row(hidden, true, rng)
     }
 
     fn counters(&self) -> &HardwareCounters {

@@ -5,8 +5,10 @@
 //! The kernel is the serving-side analogue of the paper's per-minibatch
 //! §3.2 operation list: program once (done by the caller), quantize the
 //! whole batch of clamp levels once, then realize every chain's k Gibbs
-//! steps by alternating whole-batch `sample_hidden_batch_rows` /
-//! `sample_visible_batch_rows` calls on the substrate. Each row carries
+//! steps by alternating whole-batch `try_sample_hidden_batch_rows` /
+//! `try_sample_visible_batch_rows` calls on the substrate. There is one
+//! chain loop, [`try_sample_rows`]; [`sample_rows`] is its panicking
+//! wrapper for infallible substrates. Each row carries
 //! its **own RNG stream**, so a row's bits depend only on (programmed
 //! model, its init, its seed, step count) — which is exactly why the
 //! service may coalesce rows from unrelated requests into one batch, or
@@ -50,8 +52,31 @@ pub fn expand_request(request: &SampleRequest, master_seed: u64) -> Vec<ChainReq
 }
 
 /// Runs `gibbs_steps` full Gibbs steps for every chain in `rows` on an
+/// already-programmed **infallible** substrate and returns each chain's
+/// final visible configuration (`rows.len() × visible_len`).
+///
+/// This is [`try_sample_rows`] for callers that hold a backend which
+/// never faults — every `ember_core` backend, such as an offline oracle
+/// or the service's software fallback — and so have no error to handle.
+///
+/// # Panics
+///
+/// As [`try_sample_rows`], and if the substrate faults: a substrate that
+/// can fail ([`Substrate::is_fallible`], e.g. a `ChaosSubstrate`) must
+/// go through [`try_sample_rows`].
+pub fn sample_rows<S: Substrate + ?Sized>(
+    substrate: &mut S,
+    rows: &[ChainRequest],
+    gibbs_steps: usize,
+) -> Array2<f64> {
+    try_sample_rows(substrate, rows, gibbs_steps)
+        .expect("sample_rows is for infallible substrates; use try_sample_rows")
+}
+
+/// Runs `gibbs_steps` full Gibbs steps for every chain in `rows` on an
 /// already-programmed substrate and returns each chain's final visible
-/// configuration (`rows.len() × visible_len`).
+/// configuration (`rows.len() × visible_len`) — the one chain loop of
+/// the serving layer.
 ///
 /// Row `i` of the result depends only on the programmed parameters and
 /// `rows[i]` — never on the other rows (see
@@ -59,33 +84,7 @@ pub fn expand_request(request: &SampleRequest, master_seed: u64) -> Vec<ChainReq
 /// into separate calls, on any identically-programmed replicas, yields
 /// bit-identical rows.
 ///
-/// # Panics
-///
-/// Panics if `gibbs_steps == 0`, `rows` is empty, or an init row's width
-/// differs from the substrate's visible size.
-pub fn sample_rows<S: Substrate + ?Sized>(
-    substrate: &mut S,
-    rows: &[ChainRequest],
-    gibbs_steps: usize,
-) -> Array2<f64> {
-    let (mut rngs, mut v) = init_chains(substrate, rows, gibbs_steps);
-    let mut h = {
-        let mut lanes = rng_lanes(&mut rngs);
-        substrate.sample_hidden_batch_rows(&v, &mut lanes)
-    };
-    for step in 0..gibbs_steps {
-        let mut lanes = rng_lanes(&mut rngs);
-        v = substrate.sample_visible_batch_rows(&h, &mut lanes);
-        if step + 1 < gibbs_steps {
-            let mut lanes = rng_lanes(&mut rngs);
-            h = substrate.sample_hidden_batch_rows(&v, &mut lanes);
-        }
-    }
-    v
-}
-
-/// The fallible twin of [`sample_rows`]: identical chain semantics, but
-/// every substrate read goes through the **fallible seam**
+/// Every substrate read goes through the **fallible seam**
 /// ([`Substrate::try_sample_hidden_batch_rows`] /
 /// [`Substrate::try_sample_visible_batch_rows`]), and — on substrates
 /// that declare themselves [`Substrate::is_fallible`] — every returned
@@ -93,10 +92,9 @@ pub fn sample_rows<S: Substrate + ?Sized>(
 /// (`ember_core::recovery::screen_samples`) before it is fed back into
 /// the next half-step, so a corrupted read is caught at the read that
 /// produced it, never silently laundered into downstream bits.
-/// Infallible backends (the default) skip the screens: the fault
-/// machinery costs nothing on the fault-free hot path.
+/// Infallible backends (the default) never fail and skip the screens:
+/// the fault machinery costs nothing on the fault-free hot path.
 ///
-/// On an infallible substrate this is bit-identical to [`sample_rows`].
 /// On a fault the per-row RNGs die with the call; the caller reprograms
 /// the volatile couplings and re-invokes with the same `rows`, which
 /// recreates every chain stream from its seed — a successful retry is
@@ -109,52 +107,13 @@ pub fn sample_rows<S: Substrate + ?Sized>(
 ///
 /// # Panics
 ///
-/// As [`sample_rows`]: empty `rows`, zero `gibbs_steps`, or a clamp
-/// width mismatch.
+/// Panics if `gibbs_steps == 0`, `rows` is empty, or an init row's width
+/// differs from the substrate's visible size.
 pub fn try_sample_rows<S: Substrate + ?Sized>(
     substrate: &mut S,
     rows: &[ChainRequest],
     gibbs_steps: usize,
 ) -> Result<Array2<f64>, SubstrateFault> {
-    let screened = substrate.is_fallible();
-    let screen = |batch: &Array2<f64>| -> Result<(), SubstrateFault> {
-        if screened {
-            ember_core::recovery::screen_samples(batch)
-        } else {
-            Ok(())
-        }
-    };
-    let (mut rngs, mut v) = init_chains(substrate, rows, gibbs_steps);
-    let mut h = {
-        let mut lanes = rng_lanes(&mut rngs);
-        substrate.try_sample_hidden_batch_rows(&v, &mut lanes)?
-    };
-    screen(&h)?;
-    for step in 0..gibbs_steps {
-        {
-            let mut lanes = rng_lanes(&mut rngs);
-            v = substrate.try_sample_visible_batch_rows(&h, &mut lanes)?;
-        }
-        screen(&v)?;
-        if step + 1 < gibbs_steps {
-            {
-                let mut lanes = rng_lanes(&mut rngs);
-                h = substrate.try_sample_hidden_batch_rows(&v, &mut lanes)?;
-            }
-            screen(&h)?;
-        }
-    }
-    Ok(v)
-}
-
-/// Shared chain setup of [`sample_rows`] / [`try_sample_rows`]: one RNG
-/// per chain seeded from its stream, and the quantized initial visible
-/// batch.
-fn init_chains<S: Substrate + ?Sized>(
-    substrate: &S,
-    rows: &[ChainRequest],
-    gibbs_steps: usize,
-) -> (Vec<StdRng>, Array2<f64>) {
     assert!(gibbs_steps >= 1, "need at least one Gibbs step");
     assert!(!rows.is_empty(), "need at least one chain");
     let m = substrate.visible_len();
@@ -191,17 +150,34 @@ fn init_chains<S: Substrate + ?Sized>(
     // pass outright: every `quantize_batch` implementation is the
     // identity on `{0, 1}` by contract, and the skipped copy keeps the
     // gathered batch bit-packable for the substrate's fast kernel.
-    let v = if ember_core::kernels::is_binary(&v0) {
+    let mut v = if ember_core::kernels::is_binary(&v0) {
         v0
     } else {
         substrate.quantize_batch(&v0)
     };
-    (rngs, v)
-}
 
-/// Reborrows each chain's RNG as an object-safe lane slice.
-fn rng_lanes(rngs: &mut [StdRng]) -> Vec<&mut dyn RngCore> {
-    rngs.iter_mut().map(|r| r as &mut dyn RngCore).collect()
+    let screened = substrate.is_fallible();
+    let mut half_step = |clamp: &Array2<f64>, rev: bool| {
+        let mut lanes: Vec<&mut dyn RngCore> =
+            rngs.iter_mut().map(|r| r as &mut dyn RngCore).collect();
+        let out = if rev {
+            substrate.try_sample_visible_batch_rows(clamp, &mut lanes)?
+        } else {
+            substrate.try_sample_hidden_batch_rows(clamp, &mut lanes)?
+        };
+        if screened {
+            ember_core::recovery::screen_samples(&out)?;
+        }
+        Ok::<_, SubstrateFault>(out)
+    };
+    let mut h = half_step(&v, false)?;
+    for step in 0..gibbs_steps {
+        v = half_step(&h, true)?;
+        if step + 1 < gibbs_steps {
+            h = half_step(&v, false)?;
+        }
+    }
+    Ok(v)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use ember_core::recovery::verify_programming;
 use ember_core::{GsConfig, RetryPolicy, SubstrateSpec};
 use ember_rbm::{Rbm, RngStreams};
-use ember_substrate::{HardwareCounters, ReplicableSubstrate, SubstrateFault};
+use ember_substrate::{fnv1a, HardwareCounters, ReplicableSubstrate, SubstrateFault};
 
 use crate::batch::{self, ChainRequest};
 use crate::registry::ModelSnapshot;
@@ -1541,12 +1541,7 @@ fn program_verified<S: ember_substrate::Substrate + ?Sized>(
 /// every shard's fallback realizes the same machine and degraded
 /// responses stay shard-invariant.
 fn fabricate_fallback(model: &str, snapshot: &ModelSnapshot) -> Box<dyn ReplicableSubstrate> {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in model.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    let mut rng = StdRng::seed_from_u64(hash);
+    let mut rng = StdRng::seed_from_u64(fnv1a(model.as_bytes()));
     SubstrateSpec::software(GsConfig::default()).fabricate(
         snapshot.rbm.visible_len(),
         snapshot.rbm.hidden_len(),

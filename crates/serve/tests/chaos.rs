@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use ember_brim::BrimConfig;
 use ember_core::{GsConfig, RetryPolicy, SubstrateSpec};
 use ember_rbm::Rbm;
-use ember_serve::{SampleRequest, SamplingService, ServeError};
+use ember_serve::{SampleRequest, SamplingService, ServeError, TrainRequest};
 use ember_substrate::{ChaosConfig, ChaosSubstrate};
 use ndarray::Array2;
 use rand::rngs::StdRng;
@@ -141,6 +141,54 @@ fn heavy_faults_are_absorbed_and_counted() {
     );
     assert!(stats.degraded.is_empty(), "no breaker should trip");
     assert_eq!(stats.models[MODEL].failed_requests, 0);
+}
+
+#[test]
+fn training_on_a_chaos_replica_is_the_golden_path() {
+    // Faults enter only through the fallible seam. Training drives the
+    // infallible `program` / `sample_*_batch` half-steps, so even a
+    // schedule that faults every fallible call publishes exactly the
+    // bare backend's weights and injects nothing.
+    for (backend, spec) in backends() {
+        let mut rng = StdRng::seed_from_u64(0xFAB);
+        let rbm = Rbm::random(12, 6, 0.4, &mut rng);
+        let proto = spec.fabricate_for(&rbm, &mut rng);
+        let data = Array2::from_shape_fn((24, 12), |(i, j)| f64::from((i + j) % 3 == 0));
+        let train = || {
+            TrainRequest::new(MODEL, data.clone())
+                .with_batch_size(6)
+                .with_epochs(2)
+                .with_seed(41)
+        };
+
+        let bare = SamplingService::builder().shards(1).build();
+        bare.register_model(MODEL, rbm.clone(), proto.clone_boxed())
+            .unwrap();
+        let golden = bare.train(train()).unwrap();
+
+        let chaotic = Box::new(ChaosSubstrate::new(
+            proto.clone_boxed(),
+            ChaosConfig::new(0xC0FFEE).with_fault_rate(1.0),
+        ));
+        let service = SamplingService::builder().shards(1).build();
+        service.register_model(MODEL, rbm.clone(), chaotic).unwrap();
+        let resp = service.train(train()).unwrap();
+
+        assert_eq!(resp.new_version, golden.new_version, "{backend}");
+        assert_eq!(resp.stats, golden.stats, "{backend}");
+        assert_eq!(
+            *service.registry().get(MODEL).unwrap().rbm,
+            *bare.registry().get(MODEL).unwrap().rbm,
+            "{backend}: published weights must be bit-identical to the bare backend's"
+        );
+        let counters = service.stats().models[MODEL].counters;
+        for c in [resp.counters, counters] {
+            assert_eq!(c.substrate_faults, 0, "{backend}");
+            assert_eq!(c.corrupted_programmings, 0, "{backend}");
+            assert_eq!(c.corrupted_reads, 0, "{backend}");
+            assert_eq!(c.recovery_retries, 0, "{backend}");
+        }
+    }
 }
 
 #[test]

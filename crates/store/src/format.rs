@@ -93,16 +93,9 @@ pub struct ModelChainImage {
     pub chain: Vec<(u64, Arc<Rbm>)>,
 }
 
-/// FNV-1a over raw bytes — same constants as
-/// [`ember_core::couplings_checksum`], applied to the encoded frame.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+/// FNV-1a over raw bytes — the byte-level core of
+/// [`ember_core::couplings_checksum`], applied to the encoded file.
+pub use ember_substrate::fnv1a;
 
 /// The flattened parameter vector: weights row-major, then visible
 /// bias, then hidden bias, one `f64` bit pattern per cell. This is the

@@ -7,9 +7,10 @@
 //! place trained state exists. This crate makes that state survive the
 //! host too:
 //!
-//! * [`format`] — the `EMBS` snapshot format: versioned, little-endian,
-//!   checksummed at two layers (whole-file FNV-1a plus the serving
-//!   layer's own [`couplings_checksum`](ember_core::couplings_checksum)
+//! * [`format`](mod@format) — the `EMBS` snapshot format: versioned,
+//!   little-endian, checksummed at two layers (whole-file FNV-1a plus
+//!   the serving layer's own
+//!   [`couplings_checksum`](ember_core::couplings_checksum)
 //!   per model version, recomputed from the *decoded* parameters), with
 //!   **delta-compressed version chains** so retained history costs
 //!   bytes proportional to what actually changed.

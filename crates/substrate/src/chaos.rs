@@ -11,14 +11,21 @@
 //! surfaced as non-binary cells), spike latency, raise outright
 //! [`SubstrateFault`]s, and — for supervision tests — panic once.
 //!
-//! Faults are injected only through the **fallible** entry points
-//! (`try_program` / `try_sample_*`): the infallible API forwards to the
-//! inner substrate untouched and remains the golden path. When the
-//! schedule injects nothing, a fallible call is bit-identical to the
-//! inner substrate's — the chaos RNG is private, so the wrapped
-//! machine's sampled bits never depend on it. That is the property the
-//! chaos suite leans on: a request that survives (or is successfully
-//! retried) returns exactly the fault-free samples.
+//! Faults are injected only through the three **fallible** entry points
+//! — `try_program` and the per-row `try_sample_{hidden,visible}_batch_rows`
+//! that the serving layer runs. Everything else, including the
+//! shared-stream `sample_*_batch` half-steps a trainer drives, forwards
+//! to the inner substrate untouched and remains the golden path: a
+//! chaos-wrapped replica trains exactly like the bare backend, whatever
+//! the fault rate. When the schedule injects nothing, a fallible call is
+//! bit-identical to the inner substrate's — the chaos RNG is private, so
+//! the wrapped machine's sampled bits never depend on it. That is the
+//! property the chaos suite leans on: a request that survives (or is
+//! successfully retried) returns exactly the fault-free samples.
+//!
+//! Readback reports [`couplings_checksum`] of whatever image was
+//! actually written into the inner substrate, so it agrees with the
+//! host's digest of a clean programming bit for bit.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -28,7 +35,7 @@ use ndarray::{Array2, ArrayView1, ArrayView2};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::{HardwareCounters, ReplicableSubstrate, Substrate, SubstrateFault};
+use crate::{couplings_checksum, HardwareCounters, ReplicableSubstrate, Substrate, SubstrateFault};
 
 /// Fault schedule of a [`ChaosSubstrate`]: per-event probabilities,
 /// all driven by one seeded RNG so a schedule reproduces exactly.
@@ -247,33 +254,11 @@ impl ChaosSubstrate {
         &self.config
     }
 
-    /// FNV-1a over the bit patterns of a programming image — the same
-    /// digest `ember_core::recovery::couplings_checksum` computes on
-    /// the host side, duplicated here so the readback seam does not
-    /// invert the crate dependency.
-    fn image_checksum(
-        weights: &ArrayView2<'_, f64>,
-        visible_bias: &ArrayView1<'_, f64>,
-        hidden_bias: &ArrayView1<'_, f64>,
-    ) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |x: f64| {
-            for byte in x.to_bits().to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        weights.iter().copied().for_each(&mut eat);
-        visible_bias.iter().copied().for_each(&mut eat);
-        hidden_bias.iter().copied().for_each(&mut eat);
-        hash
-    }
-
     fn roll(&mut self, p: f64) -> bool {
         p > 0.0 && self.chaos_rng.random::<f64>() < p
     }
 
-    /// Pre-sampling chaos shared by all four `try_sample_*` paths:
+    /// Pre-sampling chaos shared by both `try_sample_*_batch_rows` paths:
     /// burn the panic fuse if armed, stall on a latency spike, raise a
     /// hard read fault. `Ok(())` means the read may proceed.
     fn before_sample(&mut self) -> Result<(), SubstrateFault> {
@@ -341,7 +326,7 @@ impl Substrate for ChaosSubstrate {
         hidden_bias: &ArrayView1<'_, f64>,
     ) {
         self.inner.program(weights, visible_bias, hidden_bias);
-        self.realized_checksum = Some(Self::image_checksum(weights, visible_bias, hidden_bias));
+        self.realized_checksum = Some(couplings_checksum(weights, visible_bias, hidden_bias));
     }
 
     fn quantize_batch(&self, levels: &Array2<f64>) -> Array2<f64> {
@@ -403,7 +388,7 @@ impl Substrate for ChaosSubstrate {
             }
             self.inner
                 .program(&corrupted.view(), visible_bias, hidden_bias);
-            self.realized_checksum = Some(Self::image_checksum(
+            self.realized_checksum = Some(couplings_checksum(
                 &corrupted.view(),
                 visible_bias,
                 hidden_bias,
@@ -413,28 +398,6 @@ impl Substrate for ChaosSubstrate {
         }
         self.program(weights, visible_bias, hidden_bias);
         Ok(())
-    }
-
-    fn try_sample_hidden_batch(
-        &mut self,
-        visible: &Array2<f64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        self.before_sample()?;
-        let mut out = self.inner.try_sample_hidden_batch(visible, rng)?;
-        self.corrupt_read(&mut out);
-        Ok(out)
-    }
-
-    fn try_sample_visible_batch(
-        &mut self,
-        hidden: &Array2<f64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        self.before_sample()?;
-        let mut out = self.inner.try_sample_visible_batch(hidden, rng)?;
-        self.corrupt_read(&mut out);
-        Ok(out)
     }
 
     fn try_sample_hidden_batch_rows(
@@ -557,6 +520,18 @@ mod tests {
         StdRng::seed_from_u64(11)
     }
 
+    /// `try_sample_hidden_batch_rows` with every row on its own `rng()`
+    /// lane.
+    fn try_hidden(
+        chaotic: &mut ChaosSubstrate,
+        v: &Array2<f64>,
+    ) -> Result<Array2<f64>, SubstrateFault> {
+        let mut rngs: Vec<StdRng> = (0..v.nrows()).map(|_| rng()).collect();
+        let mut lanes: Vec<&mut dyn RngCore> =
+            rngs.iter_mut().map(|r| r as &mut dyn RngCore).collect();
+        chaotic.try_sample_hidden_batch_rows(v, &mut lanes)
+    }
+
     fn image(m: usize, n: usize) -> (Array2<f64>, Array1<f64>, Array1<f64>) {
         (
             Array2::from_shape_fn((m, n), |(i, j)| (i * n + j) as f64 * 0.01),
@@ -576,7 +551,7 @@ mod tests {
             .unwrap();
         let v = Array2::from_elem((4, 3), 1.0);
         let a = plain.sample_hidden_batch(&v, &mut rng());
-        let b = chaotic.try_sample_hidden_batch(&v, &mut rng()).unwrap();
+        let b = try_hidden(&mut chaotic, &v).unwrap();
         assert_eq!(a, b);
         assert_eq!(chaotic.counters().total_fault_events(), 0);
         // The fallibility hint is what buys recovery layers their
@@ -599,7 +574,7 @@ mod tests {
         ));
         let v = Array2::zeros((1, 2));
         assert!(matches!(
-            chaotic.try_sample_hidden_batch(&v, &mut rng()),
+            try_hidden(&mut chaotic, &v),
             Err(SubstrateFault::Read(_))
         ));
         assert_eq!(chaotic.counters().substrate_faults, 2);
@@ -615,7 +590,7 @@ mod tests {
         chaotic
             .try_program(&w.view(), &bv.view(), &bh.view())
             .unwrap();
-        let expected = ChaosSubstrate::image_checksum(&w.view(), &bv.view(), &bh.view());
+        let expected = couplings_checksum(&w.view(), &bv.view(), &bh.view());
         let actual = chaotic.programmed_checksum().unwrap();
         assert_ne!(expected, actual, "corruption must shift the checksum");
         assert_eq!(chaotic.counters().corrupted_programmings, 1);
@@ -631,7 +606,7 @@ mod tests {
             ChaosConfig::new(4).with_corruption_rate(1.0),
         );
         let v = Array2::zeros((2, 3));
-        let out = chaotic.try_sample_hidden_batch(&v, &mut rng()).unwrap();
+        let out = try_hidden(&mut chaotic, &v).unwrap();
         assert!(
             out.iter().any(|&x| x != 0.0 && x != 1.0),
             "corruption must be detectable by a binary screen"
@@ -648,7 +623,7 @@ mod tests {
             );
             let v = Array2::zeros((1, 2));
             (0..32)
-                .map(|_| chaotic.try_sample_hidden_batch(&v, &mut rng()).is_err())
+                .map(|_| try_hidden(&mut chaotic, &v).is_err())
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(), run());
@@ -666,13 +641,13 @@ mod tests {
         let mut replica_b = proto.clone();
         let v = Array2::zeros((1, 2));
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = replica_a.try_sample_hidden_batch(&v, &mut rng());
+            let _ = try_hidden(&mut replica_a, &v);
         }));
         assert!(panicked.is_err(), "the armed fuse must panic first");
         // The sibling replica shares the burnt fuse: it serves cleanly.
-        assert!(replica_b.try_sample_hidden_batch(&v, &mut rng()).is_ok());
+        assert!(try_hidden(&mut replica_b, &v).is_ok());
         // And so does the panicked replica itself on a later call.
-        assert!(replica_a.try_sample_hidden_batch(&v, &mut rng()).is_ok());
+        assert!(try_hidden(&mut replica_a, &v).is_ok());
     }
 
     #[test]

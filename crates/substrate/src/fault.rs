@@ -2,8 +2,10 @@ use std::error::Error;
 use std::fmt;
 
 /// A transient hardware fault raised by a substrate's fallible entry
-/// points ([`crate::Substrate::try_program`] /
-/// [`crate::Substrate::try_sample_hidden_batch_rows`] / …).
+/// points ([`crate::Substrate::try_program`],
+/// [`crate::Substrate::try_sample_hidden_batch_rows`] and
+/// [`crate::Substrate::try_sample_visible_batch_rows`]), or by the
+/// host's readback and sanity screens over them.
 ///
 /// The paper's operating regime makes these the *expected* failure
 /// class, not an exception: analog weights live on leaky gate charges

@@ -8,15 +8,15 @@
 //! any backend: the analog node-path model, the BRIM dynamical
 //! simulator, a Metropolis annealer, or future hardware.
 //!
-//! The trait methods map one-to-one onto the paper's §3.2 operation
-//! list for the Gibbs-sampler accelerator:
+//! §3.2 gives the substrate four jobs — program, clamp, settle, read —
+//! and the trait methods map onto its operation list:
 //!
 //! | §3.2 operation | Trait method |
 //! |---|---|
-//! | 1–2. host programs the coupling matrix and biases (`m·n + m + n` words) | [`Substrate::program`] / [`Substrate::programming_cost`] |
+//! | 1–2. host programs the coupling matrix and biases (`m·n + m + n` words) | [`Substrate::program`] / [`Substrate::try_program`], [`Substrate::programming_cost`] |
 //! | 3. visible units are clamped through DTCs | [`Substrate::quantize_batch`] |
-//! | 4–5. the clamped side drives the free side, which settles and is read out | [`Substrate::sample_hidden_batch`] / [`Substrate::sample_visible_batch`] |
-//! | 6. alternate clamped sides for the k-step Gibbs equivalent | callers alternate the two sampling methods |
+//! | 4–5. the clamped side drives the free side, which settles and is read out | one half-step per direction: [`Substrate::sample_hidden_batch`] / [`Substrate::sample_visible_batch`] on one shared RNG stream (trainers), `*_batch_rows` on one stream per row (serving), `*_row` for serial chains |
+//! | 6. alternate clamped sides for the k-step Gibbs equivalent | callers alternate the two directions |
 //! | 7–8. the host accumulates `⟨v⁺ᵀh⁺⟩ − ⟨v⁻ᵀh⁻⟩` and updates weights | host-side (trainers); substrate only reports [`Substrate::counters`] |
 //!
 //! Implementations live next to their physics: `ember_core` ships
@@ -39,15 +39,19 @@
 //! * [`ReplicableSubstrate`] (sealed) adds
 //!   [`ReplicableSubstrate::clone_boxed`], letting a service clone a
 //!   fabricated prototype into per-shard replicas behind `dyn`; and
-//! * the **fallible seam** — `try_program` / `try_sample_*` returning
+//! * the **fallible seam** — [`Substrate::try_program`],
+//!   [`Substrate::try_sample_hidden_batch_rows`] and
+//!   [`Substrate::try_sample_visible_batch_rows`] returning
 //!   [`SubstrateFault`], plus [`Substrate::programmed_checksum`]
-//!   readback — models hardware that can drop a transfer, realize
-//!   stuck-at couplings, or read out garbage. Every method is
-//!   default-implemented over the infallible API (existing backends
-//!   never fail); the seed-driven [`ChaosSubstrate`] decorator injects
-//!   faults through it for resilience testing, and
-//!   `ember_serve`'s recovery path (reprogram-before-retry, sanity
-//!   screens, circuit breaker) consumes it.
+//!   readback against [`couplings_checksum`] — models hardware that can
+//!   drop a transfer, realize stuck-at couplings, or read out garbage.
+//!   It covers exactly what the serving layer runs: programming and the
+//!   per-row half-steps. Every method defaults to the infallible API
+//!   (existing backends never fail); the seed-driven [`ChaosSubstrate`]
+//!   decorator injects faults through it, and only through it, for
+//!   resilience testing, and `ember_serve`'s recovery path
+//!   (reprogram-before-retry, sanity screens, circuit breaker) consumes
+//!   it.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,10 +60,12 @@ use ndarray::{Array1, Array2, ArrayView1, ArrayView2};
 use rand::RngCore;
 
 mod chaos;
+mod checksum;
 mod fault;
 mod instrument;
 
 pub use chaos::{ChaosConfig, ChaosSubstrate};
+pub use checksum::{couplings_checksum, fnv1a};
 pub use fault::SubstrateFault;
 pub use instrument::HardwareCounters;
 
@@ -240,26 +246,6 @@ pub trait Substrate {
         Ok(())
     }
 
-    /// Fallible counterpart of [`Substrate::sample_hidden_batch`].
-    /// Defaults to the infallible method (never fails).
-    fn try_sample_hidden_batch(
-        &mut self,
-        visible: &Array2<f64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        Ok(self.sample_hidden_batch(visible, rng))
-    }
-
-    /// Fallible counterpart of [`Substrate::sample_visible_batch`].
-    /// Defaults to the infallible method (never fails).
-    fn try_sample_visible_batch(
-        &mut self,
-        hidden: &Array2<f64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        Ok(self.sample_visible_batch(hidden, rng))
-    }
-
     /// Fallible counterpart of [`Substrate::sample_hidden_batch_rows`]
     /// (same one-stream-per-row contract). Defaults to the infallible
     /// method (never fails).
@@ -303,9 +289,9 @@ pub trait Substrate {
     /// supports readback. `None` (the default) means no readback path —
     /// the host must trust the transfer.
     ///
-    /// When `Some`, a recovery layer compares it against the checksum
-    /// of the intended image (`ember_core::recovery::couplings_checksum`)
-    /// to detect stuck-at corruption before sampling garbage.
+    /// When `Some`, a recovery layer compares it against
+    /// [`couplings_checksum`] of the intended image to detect stuck-at
+    /// corruption before sampling garbage.
     fn programmed_checksum(&self) -> Option<u64> {
         None
     }
@@ -387,20 +373,6 @@ impl<S: Substrate + ?Sized> Substrate for Box<S> {
         hidden_bias: &ArrayView1<'_, f64>,
     ) -> Result<(), SubstrateFault> {
         (**self).try_program(weights, visible_bias, hidden_bias)
-    }
-    fn try_sample_hidden_batch(
-        &mut self,
-        visible: &Array2<f64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        (**self).try_sample_hidden_batch(visible, rng)
-    }
-    fn try_sample_visible_batch(
-        &mut self,
-        hidden: &Array2<f64>,
-        rng: &mut dyn RngCore,
-    ) -> Result<Array2<f64>, SubstrateFault> {
-        (**self).try_sample_visible_batch(hidden, rng)
     }
     fn try_sample_hidden_batch_rows(
         &mut self,
