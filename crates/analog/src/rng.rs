@@ -97,6 +97,34 @@ impl ThermalRng {
         (1.0 - self.gaussian_fraction) * uniform + self.gaussian_fraction * gauss
     }
 
+    /// Whether the profile is purely uniform (`gaussian_fraction = 0`).
+    /// Then every [`ThermalRng::sample_unit`] consumes exactly one
+    /// `next_u64` word and returns [`ThermalRng::unit_from_word`] of it.
+    pub fn is_uniform(&self) -> bool {
+        self.gaussian_fraction == 0.0
+    }
+
+    /// The reference a uniform-profile [`ThermalRng::sample_unit`]
+    /// returns when the stream's next word is `word`: the exact
+    /// arithmetic of `random_range(lo..hi)` (53 high bits scaled to
+    /// `[0, 1)`, then `lo + u·(hi − lo)`) and of the swing rescale, so a
+    /// latch can draw a segment's words up front and convert them
+    /// without changing a bit. Meaningless for a non-uniform profile.
+    #[inline]
+    pub fn unit_from_word(&self, word: u64) -> f64 {
+        let lo = VCM - self.swing;
+        let hi = VCM + self.swing;
+        // `(word >> 11) as f64 · 2⁻⁵³`, assembled from bits so a loop
+        // of it vectorizes: the top 52 bits as `1.m − 1` plus the 53rd
+        // as `2⁻⁵³`. Both terms and their sum are exact, so the value is
+        // the same.
+        let top = f64::from_bits(0x3FF0_0000_0000_0000 | (word >> 12)) - 1.0;
+        let low = f64::from_bits(((word >> 11) & 1).wrapping_neg() & 0x3CA0_0000_0000_0000);
+        let u = top + low;
+        let v = lo + u * (hi - lo);
+        (v - (VCM - self.swing)) / (2.0 * self.swing)
+    }
+
     /// Draws one normalized reference in `[0, 1]` (voltage rescaled by the
     /// swing), the form the comparator uses against a probability.
     pub fn sample_unit<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {

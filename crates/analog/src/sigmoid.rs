@@ -94,12 +94,47 @@ impl SigmoidUnit {
         stretched.clamp(0.0, VDD)
     }
 
-    /// Applies the transfer function element-wise.
-    pub fn transfer_slice(&self, xs: &[f64], out: &mut [f64]) {
+    /// [`SigmoidUnit::transfer`] of a whole slice, approximated through
+    /// the vector exponential [`ndarray::simd::exp_in_place`]: every
+    /// `out[i]` lies within [`SigmoidUnit::screen_bound`]` / 100` of
+    /// `transfer(xs[i])`, and a NaN input gives a NaN output. The
+    /// comparator latch screens its decisions with it and re-decides
+    /// anything within the bound exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice lengths differ.
+    pub fn screen(&self, xs: &[f64], out: &mut [f64]) {
         assert_eq!(xs.len(), out.len(), "output slice length mismatch");
         for (o, &x) in out.iter_mut().zip(xs) {
-            *o = self.transfer(x);
+            *o = -(self.gain) * (x - self.threshold);
         }
+        ndarray::simd::exp_in_place(out);
+        if self.saturation == 0.0 {
+            for o in out.iter_mut() {
+                *o = (1.0 / (1.0 + *o)).clamp(0.0, VDD);
+            }
+        } else {
+            let (sat, span) = (self.saturation, 1.0 - 2.0 * self.saturation);
+            for o in out.iter_mut() {
+                *o = ((1.0 / (1.0 + *o) - sat) / span).clamp(0.0, VDD);
+            }
+        }
+    }
+
+    /// The guard band `M` of [`SigmoidUnit::screen`]: `1e-9 / (1 − 2s)`
+    /// for saturation `s`.
+    ///
+    /// The exponential's relative error `ε` is below `1e-15`, and a
+    /// relative error in `e` moves the logistic `1 / (1 + e)` by at most
+    /// `ε / 4`; clamping its argument to `±708` moves the logistic by
+    /// less than `1e-307`. The divide and add round to `2⁻⁵³` each, and
+    /// the rail stretch scales everything by `1 / (1 − 2s)`; the clamp
+    /// shrinks differences. So `|screen − transfer| < 1e-15 / (1 − 2s)`,
+    /// which is `10⁴×` below `M / 100`: a decision the screen puts more
+    /// than `M` from the reference is the exact decision too.
+    pub fn screen_bound(&self) -> f64 {
+        1e-9 / (1.0 - 2.0 * self.saturation)
     }
 
     /// Maximum absolute deviation from the ideal logistic over `[-8, 8]`,
@@ -189,16 +224,5 @@ mod tests {
         assert!(SigmoidUnit::new(-1.0, 0.0, 0.0).is_err());
         assert!(SigmoidUnit::new(1.0, 0.0, 0.5).is_err());
         assert!(SigmoidUnit::new(f64::NAN, 0.0, 0.0).is_err());
-    }
-
-    #[test]
-    fn transfer_slice_matches_scalar() {
-        let s = SigmoidUnit::new(1.5, 0.2, 0.01).unwrap();
-        let xs = [-2.0, 0.0, 2.0];
-        let mut out = [0.0; 3];
-        s.transfer_slice(&xs, &mut out);
-        for (o, &x) in out.iter().zip(&xs) {
-            assert_eq!(*o, s.transfer(x));
-        }
     }
 }

@@ -108,6 +108,11 @@ impl AnalogSampler {
         self.sigmoid
     }
 
+    /// The configured comparator.
+    pub fn comparator(&self) -> Comparator {
+        self.comparator
+    }
+
     /// Computes the noisy analog fields of one output layer:
     /// `fieldⱼ = Σᵢ Wᵢⱼ uᵢ + bⱼ + noise`.
     ///
@@ -131,17 +136,9 @@ impl AnalogSampler {
             let sq_in = input.mapv(|x| x * x);
             let sq_w = weights.mapv(|w| w * w);
             let var_coupler = sq_w.t().dot(&sq_in);
-            for (j, f) in field.iter_mut().enumerate() {
-                let sigma = (var_coupler[j] + 1.0).sqrt(); // +1: unit-scale node noise
-                *f = self.noise.perturb(*f, sigma, rng);
-            }
+            self.perturb(field.as_mut_slice(), var_coupler.as_slice(), rng);
         }
         field
-    }
-
-    /// Sigmoid-unit probabilities for the given noisy fields.
-    pub fn probabilities(&self, fields: &Array1<f64>) -> Array1<f64> {
-        fields.mapv(|x| self.sigmoid.transfer(x))
     }
 
     /// Full node path: fields → sigmoid → comparator. Returns 0/1 samples.
@@ -156,15 +153,9 @@ impl AnalogSampler {
         input: &ArrayView1<'_, f64>,
         rng: &mut R,
     ) -> Array1<f64> {
-        let fields = self.fields(weights, bias, input, rng);
-        let probs = self.probabilities(&fields);
-        probs.mapv(|p| {
-            if self.comparator.sample(p, &self.thermal, rng) {
-                1.0
-            } else {
-                0.0
-            }
-        })
+        let mut fields = self.fields(weights, bias, input, rng);
+        self.latch_segment(fields.as_mut_slice(), rng);
+        fields
     }
 
     /// Samples the *transpose* direction (output layer clamped, fan-in side
@@ -187,19 +178,10 @@ impl AnalogSampler {
             let sq_in = input.mapv(|x| x * x);
             let sq_w = weights.mapv(|w| w * w);
             let var_coupler = sq_w.dot(&sq_in);
-            for (j, f) in field.iter_mut().enumerate() {
-                let sigma = (var_coupler[j] + 1.0).sqrt();
-                *f = self.noise.perturb(*f, sigma, rng);
-            }
+            self.perturb(field.as_mut_slice(), var_coupler.as_slice(), rng);
         }
-        let probs = self.probabilities(&field);
-        probs.mapv(|p| {
-            if self.comparator.sample(p, &self.thermal, rng) {
-                1.0
-            } else {
-                0.0
-            }
-        })
+        self.latch_segment(field.as_mut_slice(), rng);
+        field
     }
 
     /// Whole-minibatch node path through the dense GEMM: every row of
@@ -263,16 +245,16 @@ impl AnalogSampler {
 
     /// Stochastic tail of the batched node path, over precomputed
     /// fields: bias add, closed-form coupler-noise perturbation (when
-    /// `var_coupler` is given), sigmoid transfer, comparator latch. The
-    /// packed-kernel substrates call this directly with fields (and
-    /// variances) produced by [`crate::kernels::binary_gemm`].
+    /// `var_coupler` is given), then the comparator latch
+    /// ([`AnalogSampler::latch_segment`]). The packed-kernel substrates
+    /// call this directly with fields (and variances) produced by
+    /// [`crate::kernels::binary_gemm`].
     ///
-    /// The two disciplines draw in different orders, and both orders
-    /// are pinned by golden fixtures: a shared stream is consumed
-    /// element-wise over the whole field matrix in row-major order (all
-    /// perturbations, then all comparators), while per-row streams run
-    /// each row's perturbations and comparators from that row's own
-    /// stream.
+    /// Each discipline runs its draws segment by segment, every
+    /// segment's perturbations before its comparators, and both orders
+    /// are pinned by golden fixtures. A shared stream makes the whole
+    /// field matrix one segment, in row-major order. Per-row streams
+    /// make each row its own segment, drawn from that row's stream.
     ///
     /// # Panics
     ///
@@ -284,49 +266,47 @@ impl AnalogSampler {
         var_coupler: Option<&Array2<f64>>,
         rngs: RngDiscipline<'_, '_>,
     ) {
-        match rngs {
-            RngDiscipline::Shared(rng) => self.latch_batch(fields, bias, var_coupler, rng),
-            RngDiscipline::PerRow(rngs) => self.latch_batch_rows(fields, bias, var_coupler, rngs),
+        rngs.check_rows(fields.nrows());
+        let cols = fields.ncols();
+        if cols == 0 {
+            return;
         }
-    }
-
-    /// [`AnalogSampler::latch`] under one stream per row.
-    fn latch_batch_rows(
-        &self,
-        fields: &mut Array2<f64>,
-        bias: &ArrayView1<'_, f64>,
-        var_coupler: Option<&Array2<f64>>,
-        rngs: &mut [&mut dyn RngCore],
-    ) {
-        assert_eq!(fields.nrows(), rngs.len(), "one RNG stream per row");
-        for (i, mut row) in fields.axis_iter_mut(ndarray::Axis(0)).enumerate() {
-            row += bias;
-            let rng = &mut *rngs[i];
-            if let Some(var) = var_coupler {
-                for (j, f) in row.iter_mut().enumerate() {
-                    let sigma = (var[[i, j]] + 1.0).sqrt(); // +1: unit-scale node noise
-                    *f = self.noise.perturb(*f, sigma, rng);
+        let var = var_coupler.map(Array2::as_slice);
+        let cells = fields.as_mut_slice();
+        for row in cells.chunks_exact_mut(cols) {
+            add_bias(row, bias);
+        }
+        let mut scratch = LatchScratch::default();
+        match rngs {
+            RngDiscipline::Shared(rng) => {
+                if let Some(var) = var {
+                    self.perturb(cells, var, rng);
                 }
+                self.latch_into(cells, rng, &mut scratch);
             }
-            for f in row.iter_mut() {
-                let p = self.sigmoid.transfer(*f);
-                *f = if self.comparator.sample(p, &self.thermal, rng) {
-                    1.0
-                } else {
-                    0.0
-                };
+            RngDiscipline::PerRow(rngs) => {
+                for (i, (row, rng)) in cells
+                    .chunks_exact_mut(cols)
+                    .zip(rngs.iter_mut())
+                    .enumerate()
+                {
+                    if let Some(var) = var {
+                        self.perturb(row, &var[i * cols..(i + 1) * cols], *rng);
+                    }
+                    self.latch_into(row, *rng, &mut scratch);
+                }
             }
         }
     }
 
     /// Stochastic tail of the serial per-chain node path, over a field
     /// row precomputed by `kernels::binary_field_row`: bias add, then
-    /// coupler-noise perturbation (when `var` is given) over the whole
-    /// row, then the sigmoid/comparator latch — the exact arithmetic
-    /// *and RNG draw order* of
-    /// [`AnalogSampler::sample_layer_reference`]'s tail (all
-    /// perturbations before any comparator draw), so a serial chain's
-    /// bits are invariant to which field kernel produced the row.
+    /// coupler-noise perturbation (when `var` is given), then the latch
+    /// — the exact arithmetic *and RNG draw order* of
+    /// [`AnalogSampler::sample_layer_reference`]'s tail (one segment,
+    /// all perturbations before any comparator draw), so a serial
+    /// chain's bits are invariant to which field kernel produced the
+    /// row.
     pub(crate) fn latch_row(
         &self,
         field: &mut Array1<f64>,
@@ -334,50 +314,119 @@ impl AnalogSampler {
         var: Option<&Array1<f64>>,
         rng: &mut dyn RngCore,
     ) {
-        for (f, &b) in field.iter_mut().zip(bias.iter()) {
-            *f += b;
-        }
+        let field = field.as_mut_slice();
+        add_bias(field, bias);
         if let Some(var) = var {
-            for (f, &v) in field.iter_mut().zip(var.iter()) {
-                let sigma = (v + 1.0).sqrt(); // +1: unit-scale node noise
-                *f = self.noise.perturb(*f, sigma, rng);
-            }
+            self.perturb(field, var.as_slice(), rng);
         }
-        for f in field.iter_mut() {
-            let p = self.sigmoid.transfer(*f);
-            *f = if self.comparator.sample(p, &self.thermal, rng) {
-                1.0
-            } else {
-                0.0
-            };
+        self.latch_segment(field, rng);
+    }
+
+    /// Closed-form noise perturbation of a segment: field `j` moves by
+    /// `N(0, RMS · √(var[j] + 1))` (`+1`: unit-scale node noise), drawn
+    /// in index order.
+    fn perturb<R: Rng + ?Sized>(&self, fields: &mut [f64], var: &[f64], rng: &mut R) {
+        for (f, &v) in fields.iter_mut().zip(var) {
+            *f = self.noise.perturb(*f, (v + 1.0).sqrt(), rng);
         }
     }
 
-    /// [`AnalogSampler::latch`] under one shared stream.
-    fn latch_batch(
+    /// The comparator latch of one segment of (already perturbed)
+    /// fields: `fields[j]` becomes `1.0` when
+    /// `transfer(fields[j]) + offset > reference_j`, else `0.0`, where
+    /// `reference_j` is the segment's `j`-th [`ThermalRng::sample_unit`]
+    /// draw from `rng` — exactly the bits and the stream position of
+    /// `Comparator::sample(transfer(x), &thermal, rng)` run over the
+    /// segment in order. Every sampling path of this type ends in it.
+    ///
+    /// It runs four steps over the whole segment instead of one draw
+    /// and one `exp` per state:
+    ///
+    /// 1. **draw** — a uniform reference profile takes all the
+    ///    segment's words in one [`RngCore::fill_u64`] call (other
+    ///    profiles draw one reference at a time);
+    /// 2. **references** — the words become references with
+    ///    [`ThermalRng::unit_from_word`], `sample_unit`'s own
+    ///    arithmetic (fused into step 4's pass);
+    /// 3. **probabilities** — [`SigmoidUnit::screen`] approximates the
+    ///    sigmoid through a vector `exp`;
+    /// 4. **decide** — without branches: `p̃ + offset − reference`
+    ///    above the screen's guard band
+    ///    ([`SigmoidUnit::screen_bound`]) latches 1, below its negative
+    ///    latches 0, and anything inside it (NaN included) is decided
+    ///    again with the exact `transfer` and [`Comparator::decide`].
+    ///
+    /// Returns how many states took that exact fallback.
+    pub fn latch_segment<R: RngCore + ?Sized>(&self, fields: &mut [f64], rng: &mut R) -> usize {
+        self.latch_into(fields, rng, &mut LatchScratch::default())
+    }
+
+    /// [`AnalogSampler::latch_segment`] with caller-held scratch, so a
+    /// batch of per-row segments allocates once.
+    fn latch_into<R: RngCore + ?Sized>(
         &self,
-        fields: &mut Array2<f64>,
-        bias: &ArrayView1<'_, f64>,
-        var_coupler: Option<&Array2<f64>>,
-        rng: &mut dyn RngCore,
-    ) {
-        for mut row in fields.axis_iter_mut(ndarray::Axis(0)) {
-            row += bias;
-        }
-        if let Some(var) = var_coupler {
-            for (f, v) in fields.iter_mut().zip(var.iter()) {
-                let sigma = (v + 1.0).sqrt(); // +1: unit-scale node noise
-                *f = self.noise.perturb(*f, sigma, rng);
+        fields: &mut [f64],
+        rng: &mut R,
+        scratch: &mut LatchScratch,
+    ) -> usize {
+        let n = fields.len();
+        scratch.words.resize(n, 0);
+        scratch.probs.resize(n, 0.0);
+        let (words, probs) = (&mut scratch.words[..n], &mut scratch.probs[..n]);
+        let uniform = self.thermal.is_uniform();
+        if uniform {
+            rng.fill_u64(words);
+        } else {
+            for w in words.iter_mut() {
+                *w = self.thermal.sample_unit(rng).to_bits();
             }
         }
-        for f in fields.iter_mut() {
-            let p = self.sigmoid.transfer(*f);
-            *f = if self.comparator.sample(p, &self.thermal, rng) {
+        self.sigmoid.screen(fields, probs);
+        if uniform {
+            self.decide(fields, probs, words, |w| self.thermal.unit_from_word(w))
+        } else {
+            self.decide(fields, probs, words, f64::from_bits)
+        }
+    }
+
+    /// Step 4 of [`AnalogSampler::latch_segment`]: latches every state
+    /// the screen decides, then re-decides the rest exactly; `reference`
+    /// turns a drawn word into its comparator reference. Returns the
+    /// number of exact re-decisions.
+    fn decide(
+        &self,
+        fields: &mut [f64],
+        probs: &[f64],
+        words: &[u64],
+        reference: impl Fn(u64) -> f64,
+    ) -> usize {
+        let (offset, band) = (self.comparator.offset(), self.sigmoid.screen_bound());
+        let margin = |p: f64, w: u64| (p + offset) - reference(w);
+        let mut unsure = 0;
+        for ((f, &p), &w) in fields.iter_mut().zip(probs).zip(words) {
+            let m = margin(p, w);
+            let (one, zero) = (m > band, m < -band);
+            unsure += usize::from(!(one | zero));
+            *f = if one {
                 1.0
-            } else {
+            } else if zero {
                 0.0
+            } else {
+                *f
             };
         }
+        if unsure > 0 {
+            for ((f, &p), &w) in fields.iter_mut().zip(probs).zip(words) {
+                let m = margin(p, w);
+                if !(m > band || m < -band) {
+                    let latched = self
+                        .comparator
+                        .decide(self.sigmoid.transfer(*f), reference(w));
+                    *f = f64::from(u8::from(latched));
+                }
+            }
+        }
+        unsure
     }
 
     /// Row-at-a-time reference node path with straightforward scalar
@@ -417,25 +466,20 @@ impl AnalogSampler {
             field[j] = (0..fan_in).map(|i| at(i, j) * input[i]).sum::<f64>() + bias[j];
         }
         if self.noise.noise_rms() > 0.0 {
-            for j in 0..out {
-                let var_coupler: f64 = (0..fan_in)
-                    .map(|i| {
-                        let c = at(i, j) * input[i];
-                        c * c
-                    })
-                    .sum();
-                let sigma = (var_coupler + 1.0).sqrt();
-                field[j] = self.noise.perturb(field[j], sigma, rng);
-            }
+            let var_coupler: Vec<f64> = (0..out)
+                .map(|j| {
+                    (0..fan_in)
+                        .map(|i| {
+                            let c = at(i, j) * input[i];
+                            c * c
+                        })
+                        .sum()
+                })
+                .collect();
+            self.perturb(field.as_mut_slice(), &var_coupler, rng);
         }
-        field.mapv(|x| {
-            let p = self.sigmoid.transfer(x);
-            if self.comparator.sample(p, &self.thermal, rng) {
-                1.0
-            } else {
-                0.0
-            }
-        })
+        self.latch_segment(field.as_mut_slice(), rng);
+        field
     }
 
     /// Deterministic variant of the weight matrix under frozen variation:
@@ -451,6 +495,22 @@ impl AnalogSampler {
 impl Default for AnalogSampler {
     fn default() -> Self {
         AnalogSampler::ideal()
+    }
+}
+
+/// Working buffers of [`AnalogSampler::latch_segment`]: the segment's
+/// drawn words (or, for a non-uniform reference profile, its references
+/// as `f64` bits) and its screened probabilities.
+#[derive(Default)]
+struct LatchScratch {
+    words: Vec<u64>,
+    probs: Vec<f64>,
+}
+
+/// `row[j] += bias[j]`.
+fn add_bias(row: &mut [f64], bias: &ArrayView1<'_, f64>) {
+    for (f, &b) in row.iter_mut().zip(bias.iter()) {
+        *f += b;
     }
 }
 

@@ -174,7 +174,7 @@ pub enum ReadOutcome {
 }
 
 /// Reads one CRLF- (or bare-LF-) terminated line, bounded by
-/// [`MAX_LINE`].
+/// [`MAX_LINE`] bytes of content (the terminator does not count).
 fn read_line<R: BufRead>(r: &mut R) -> io::Result<Result<String, ParseError>> {
     let mut line = Vec::new();
     loop {
@@ -186,7 +186,9 @@ fn read_line<R: BufRead>(r: &mut R) -> io::Result<Result<String, ParseError>> {
                     break;
                 }
                 line.push(byte[0]);
-                if line.len() > MAX_LINE {
+                // A trailing `\r` may be the start of the CRLF
+                // terminator, so it is not counted until more follows.
+                if line.len() - usize::from(byte[0] == b'\r') > MAX_LINE {
                     return Ok(Err(ParseError::TooLarge(format!(
                         "line exceeds {MAX_LINE} bytes"
                     ))));
