@@ -138,9 +138,12 @@ mod simd_tier {
         /// Path (a), block dispatch: shapes chosen to satisfy
         /// `block_path_wins` (≥8 rows per chunk, fan-in ≥ 2× the
         /// output width, output width in 128..=448) so the
-        /// transposed-mask block scatter runs — including row counts
-        /// that straddle the 64-row chunk boundary — and must stay
-        /// bit-identical to the scalar row-loop reference.
+        /// transposed-mask block scatter runs on the AVX2 and NEON
+        /// tiers — including row counts that straddle the 64-row chunk
+        /// boundary — and must stay bit-identical to the scalar
+        /// row-loop reference. On the AVX-512 tier these shapes take
+        /// the multi-row kernel instead; `kernel_tiers.rs` pins every
+        /// tier the host has.
         #[test]
         fn packed_gemm_block_path_matches_scalar_reference(
             rows_pick in 0usize..4,

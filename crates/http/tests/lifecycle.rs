@@ -1,7 +1,8 @@
 //! Durable-lifecycle and hardening integration tests of the HTTP edge:
 //! rollback and admin snapshots over loopback, slowloris cut-off with
-//! `408`, the request-body ceiling answered `413`, and the client's
-//! seeded retry helper against a scripted raw-TCP server.
+//! `408`, the request-body ceiling answered `413`, a deeply nested JSON
+//! body answered `400`, and the client's seeded retry helper against a
+//! scripted raw-TCP server.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -220,6 +221,44 @@ fn oversized_body_is_refused_with_413() {
         answer.starts_with("HTTP/1.1 413"),
         "oversized declaration must die as 413, got {answer:?}"
     );
+}
+
+/// A JSON body nested far past the parser's depth cap is answered
+/// `400 invalid_request`, and the server keeps serving: the parse
+/// recursion is bounded, so the worker neither overflows its stack nor
+/// takes the process down.
+#[test]
+fn deeply_nested_json_is_refused_with_400_and_the_server_survives() {
+    let service = SamplingService::builder().shards(1).build();
+    service
+        .register_model("m", rbm(6, 3, 1), prototype(6, 3))
+        .unwrap();
+    let server = Server::start("127.0.0.1:0", service).unwrap();
+
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    let body = vec![b'['; 200 * 1024];
+    let head = format!(
+        "POST /v1/models/m/sample HTTP/1.1\r\nHost: t\r\nContent-Type: application/json\r\n\
+         Connection: close\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(&body).unwrap();
+    let mut answer = String::new();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.read_to_string(&mut answer).unwrap();
+    assert!(
+        answer.starts_with("HTTP/1.1 400"),
+        "nested JSON must be a 400, got {answer:?}"
+    );
+    assert!(answer.contains("invalid_request"), "{answer}");
+    assert!(answer.contains("recursion limit"), "{answer}");
+
+    let health = Client::new(server.addr()).health().unwrap();
+    assert_eq!(health.status, "ok");
+    server.shutdown(Duration::from_secs(10));
 }
 
 /// One scripted response: `(status, headers, body)`.

@@ -343,8 +343,8 @@
 //! field loop — the packed kernel's selected-row adds, the dense GEMM's
 //! `ikj` update, the serial per-chain field evaluation, the BRIM GEMVs
 //! and annealer sweep dots — executes on a runtime-dispatched **SIMD
-//! tier** ([`kernels::SimdTier`]): AVX2 on x86_64, NEON on aarch64,
-//! detected once per process and cached, with the original scalar loops
+//! tier** ([`kernels::SimdTier`]): AVX2 or AVX-512 on x86_64, NEON on
+//! aarch64, detected once per process and cached, with the original scalar loops
 //! kept verbatim as the always-available reference and fallback. The
 //! vector paths perform the same floating-point operations in the same
 //! per-element order as the scalar reference (no FMA contraction, same
@@ -353,7 +353,8 @@
 //! *single* Gibbs chain, which batching cannot help.
 //!
 //! * [`kernels::active_tier`] reports the tier in use;
-//!   `SimdTier::name()` gives `"avx2"` / `"neon"` / `"scalar"`.
+//!   `SimdTier::name()` gives `"avx512"` / `"avx2"` / `"neon"` /
+//!   `"scalar"`.
 //! * Set the `EMBER_FORCE_SCALAR=1` environment variable (read at
 //!   first dispatch), or call
 //!   [`kernels::force_tier`]`(Some(SimdTier::Scalar))` at runtime, to
